@@ -18,8 +18,9 @@ Three kinds of numbers are reported:
   against a reference path measured in the same process -- scalar vs
   batched estimation (and the exhaustive grid against its scalar
   extrapolation), the stepped vs event serving loop, the per-id vs
-  window chaos path.  The serving references are the test oracles of
-  ``tests/reference/`` (the stepped loop, the per-id router and policies).
+  window chaos path.  The references are the test oracles of
+  ``tests/reference/`` (the scalar cost model, the stepped loop, the
+  per-id router and policies).
   These back the ``ratio`` assertions in ``test_perf_search.py``.
   Branch-and-bound records its wall time, its evaluations, and the
   estimate calls and points it priced.
@@ -55,7 +56,8 @@ from repro.workloads.synthetic import generate_task_trace
 
 BENCH_PATH = Path(__file__).resolve().parents[2] / "BENCH_search.json"
 
-# The serving series time production against the test oracles.
+# The estimate, search and serving series time production against the
+# test oracles.
 _TESTS_DIR = str(Path(__file__).resolve().parents[2] / "tests")
 if _TESTS_DIR not in sys.path:
     sys.path.insert(0, _TESTS_DIR)
@@ -118,7 +120,9 @@ class EstimateBench:
     """Per-point estimation cost, scalar versus batched.
 
     Attributes:
-        scalar_ms_per_point: Scalar ``estimate()`` wall time per point.
+        scalar_ms_per_point: Wall time per point of the scalar cost model
+            (``tests/reference/simulator.py``), the oracle of the batched
+            estimator.
         batch_us_per_point: ``estimate_batch()`` wall time per point.
         speedup: Scalar over batched per-point cost.
         worst_rel_err: Worst relative disagreement across the sampled
@@ -134,13 +138,16 @@ class EstimateBench:
 
 
 def bench_estimate(engine: ExeGPT, points_per_space: int = 12) -> EstimateBench:
-    """Time scalar vs batched estimation over a sample of the search space."""
+    """Time the scalar oracle vs batched estimation over a sample of the
+    search space."""
+    from reference.simulator import estimate as scalar_estimate
+
     simulator = engine.simulator
     configs = _sample_configs(engine.scheduler(), points_per_space)
     target = simulator.output_distribution.percentile(99)
 
     start = time.perf_counter()
-    scalar = [simulator.estimate(c, target_length=target) for c in configs]
+    scalar = [scalar_estimate(simulator, c, target_length=target) for c in configs]
     scalar_s = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -176,7 +183,8 @@ class SearchBench:
         bnb_points: Points those calls priced, speculative ones included.
         exhaustive_batched_s: Exhaustive grid wall time, vectorized.
         exhaustive_scalar_equiv_s: Scalar-equivalent exhaustive wall time,
-            extrapolated from the measured scalar per-point cost.
+            extrapolated from the scalar oracle's measured per-point cost
+            (``EstimateBench.scalar_ms_per_point``).
         exhaustive_speedup: Scalar-equivalent over batched exhaustive time.
         best_throughput_matches: Branch-and-bound found the exhaustive
             optimum (within 1e-9 relative).

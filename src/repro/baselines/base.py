@@ -28,9 +28,10 @@ from repro.core.config import SchedulePolicy, require_count
 from repro.core.distributions import SequenceDistribution
 from repro.core.profiler import ProfileTable
 from repro.engine.execution import (
+    KIND_DECODE,
+    KIND_ENCODE,
     ExecutionEngine,
-    decode_chain_times,
-    encode_chain_times,
+    price_item,
 )
 from repro.engine.metrics import RunResult
 from repro.engine.timeline import Timeline
@@ -131,20 +132,28 @@ class BaselineSystem:
     def encode_times(
         self, stages: tuple[StagePlan, ...], batch: float, input_len: float
     ) -> list[float]:
-        """Encode time of each stage (one batched lookup), with overhead."""
-        return encode_chain_times(
-            self.profile, self.placement, stages, batch, input_len,
-            overhead_s=self.iteration_overhead_s,
-        )
+        """Encode time of each stage, with overhead."""
+        return [
+            price_item(
+                self.profile, KIND_ENCODE, s.encoder_layers, s.tp_degree,
+                self.placement.stage_spans_nodes(s), float(batch),
+                float(input_len), self.iteration_overhead_s,
+            )
+            for s in stages
+        ]
 
     def decode_times(
         self, stages: tuple[StagePlan, ...], batch: float, context: float
     ) -> list[float]:
-        """Decode-step time of each stage (one batched lookup), with overhead."""
-        return decode_chain_times(
-            self.profile, self.placement, stages, batch, context,
-            overhead_s=self.iteration_overhead_s,
-        )
+        """Decode-step time of each stage, with overhead."""
+        return [
+            price_item(
+                self.profile, KIND_DECODE, s.decoder_layers, s.tp_degree,
+                self.placement.stage_spans_nodes(s), float(batch),
+                float(context), self.iteration_overhead_s,
+            )
+            for s in stages
+        ]
 
     def make_engine(self, timeline: Timeline, pool) -> ExecutionEngine:
         """The shared iteration-graph engine, carrying this system's overhead."""

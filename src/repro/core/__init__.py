@@ -19,9 +19,6 @@ from repro.core.distributions import (
     SequenceDistribution,
     average_context_length,
     completion_probability,
-    decode_batch_for_encode_batch,
-    expected_completion_fraction,
-    expected_decode_batch_per_iteration,
 )
 from repro.core.dynamic import DynamicWorkloadAdjuster
 from repro.core.exegpt import ExeGPT
@@ -63,10 +60,7 @@ __all__ = [
     "branch_and_bound",
     "build_placement",
     "completion_probability",
-    "decode_batch_for_encode_batch",
     "exhaustive_search",
-    "expected_completion_fraction",
-    "expected_decode_batch_per_iteration",
     "random_search",
     "waa_memory_weights",
 ]

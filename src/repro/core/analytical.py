@@ -1,17 +1,23 @@
-"""Analytical timeline building blocks shared by XSimulator and XRunner.
+"""Analytical timeline building blocks of the XSimulator estimator.
 
 These functions turn a :class:`~repro.core.allocation.Placement` plus a
-:class:`~repro.core.profiler.ProfileTable` into stage-level execution times
-and steady-state pipeline periods.  They encode the pipeline algebra that
-both the fast estimator (XSimulator) and the discrete-event runner share:
+:class:`~repro.core.profiler.ProfileTable` into stage-level execution times,
+steady-state pipeline periods and per-stage memory, for many evaluation
+points at once (one column per point):
 
 * a stage's time is its layer count times the profiled per-layer time plus
-  the tensor-parallel synchronisation overhead,
+  the tensor-parallel synchronisation overhead -- the formula the execution
+  engine's :func:`~repro.engine.execution.price_item` prices its tasks
+  with, so estimates and replays share one cost model,
 * a pipelined decode iteration over ``m`` micro-batches and ``P`` stages has
   steady-state period ``max(m * t_bottleneck, sum_j t_j)`` -- the resource
   constraint of the bottleneck stage versus the autoregressive traversal
   constraint -- which is what makes decoder micro-batches (WAA) and the
   choice of ``N_D`` (RRA) genuine latency/throughput trade-offs.
+
+The one-point forms of these helpers make up the test suite's scalar cost
+model (``tests/reference/simulator.py``), the oracle every column here must
+equal under ``==``.
 """
 
 from __future__ import annotations
@@ -21,83 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.allocation import (
-    PhaseStages,
-    Placement,
-    StagePlan,
-    stage_weight_bytes_per_gpu,
-)
+from repro.core.allocation import PhaseStages, Placement
 from repro.core.profiler import ProfileTable
-
-
-@dataclass(frozen=True)
-class StageTimes:
-    """Per-stage execution times for one (micro-)batch.
-
-    Attributes:
-        times: Stage times in pipeline order, seconds.
-    """
-
-    times: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-
-    @property
-    def bottleneck(self) -> float:
-        """Time of the slowest stage."""
-        return max(self.times) if self.times else 0.0
-
-    @property
-    def traversal(self) -> float:
-        """Sum of all stage times: time for one micro-batch to cross the pipeline."""
-        return float(sum(self.times))
-
-    @property
-    def num_stages(self) -> int:
-        """Pipeline depth."""
-        return len(self.times)
-
-
-def encode_stage_time(
-    profile: ProfileTable,
-    placement: Placement,
-    stage: StagePlan,
-    batch: float,
-    avg_input_len: float,
-) -> float:
-    """Time for ``stage`` to encode a (micro-)batch of ``batch`` sequences."""
-    if batch <= 0 or stage.encoder_layers == 0:
-        return 0.0
-    spans = placement.stage_spans_nodes(stage)
-    per_layer = profile.encode_layer_time(stage.tp_degree, batch, avg_input_len)
-    sync = profile.encode_sync_time(stage.tp_degree, batch, avg_input_len, spans)
-    return stage.encoder_layers * (per_layer + sync)
-
-
-def decode_stage_time(
-    profile: ProfileTable,
-    placement: Placement,
-    stage: StagePlan,
-    batch: float,
-    avg_context_len: float,
-) -> float:
-    """Time for ``stage`` to run one decode step for a (micro-)batch."""
-    if batch <= 0 or stage.decoder_layers == 0:
-        return 0.0
-    spans = placement.stage_spans_nodes(stage)
-    per_layer = profile.decode_layer_time(stage.tp_degree, batch, avg_context_len)
-    sync = profile.decode_sync_time(stage.tp_degree, batch, spans)
-    return stage.decoder_layers * (per_layer + sync)
 
 
 @dataclass(frozen=True)
 class StageTimesBatch:
     """Per-stage execution times for many (micro-)batches at once.
 
-    The vectorized counterpart of :class:`StageTimes`: ``times[s, p]`` is the
-    time of stage ``s`` for evaluation point ``p``.  Column ``p`` holds
-    exactly the values ``StageTimes.times`` would hold for point ``p``.
+    ``times[s, p]`` is the time of stage ``s`` for evaluation point ``p``.
 
     Attributes:
         times: Array of shape ``(num_stages, num_points)``, seconds.
@@ -122,9 +60,9 @@ class StageTimesBatch:
     def traversal(self) -> np.ndarray:
         """Per-point sum of all stage times (pipeline traversal).
 
-        Summed stage by stage, like :attr:`StageTimes.traversal`: a
-        reduction would sum a one-point column pairwise once it has 8 or
-        more stages, so a point's traversal would depend on its batch.
+        Summed stage by stage: a reduction would sum a one-point column
+        pairwise once it has 8 or more stages, so a point's traversal would
+        depend on its batch.
         """
         if self.times.shape[0] == 0:
             return np.zeros(self.times.shape[1])
@@ -139,36 +77,6 @@ class StageTimesBatch:
     def num_points(self) -> int:
         """Number of evaluation points."""
         return int(self.times.shape[1])
-
-
-def encode_stage_times(
-    profile: ProfileTable,
-    placement: Placement,
-    batch: float,
-    avg_input_len: float,
-) -> StageTimes:
-    """Encode-phase times of all encode stages for one (micro-)batch."""
-    return StageTimes(
-        tuple(
-            encode_stage_time(profile, placement, stage, batch, avg_input_len)
-            for stage in placement.encode_stages
-        )
-    )
-
-
-def decode_stage_times(
-    profile: ProfileTable,
-    placement: Placement,
-    batch: float,
-    avg_context_len: float,
-) -> StageTimes:
-    """Decode-step times of all decode stages for one (micro-)batch."""
-    return StageTimes(
-        tuple(
-            decode_stage_time(profile, placement, stage, batch, avg_context_len)
-            for stage in placement.decode_stages
-        )
-    )
 
 
 def encode_stage_times_batches(
@@ -240,45 +148,19 @@ def _phase_times(
 # --- pipeline algebra -------------------------------------------------------------
 
 
-def pipelined_iteration_period(stage_times: StageTimes, micro_batches: int) -> float:
-    """Steady-state wall time of one decode iteration over ``micro_batches``.
+def pipelined_iteration_period_batch(
+    stage_times: StageTimesBatch, micro_batches: int | np.ndarray
+) -> np.ndarray:
+    """Per-point steady-state wall time of one decode iteration over
+    ``micro_batches``.
 
     ``stage_times`` are per-*micro-batch* stage times.  The period is the
     larger of the bottleneck-stage occupancy (``m * t_max``) and the
     autoregressive traversal (``sum_j t_j``): the next iteration of a
     micro-batch can neither start before the bottleneck stage has drained all
     micro-batches of the current iteration nor before the micro-batch's own
-    token has left the last stage.
-    """
-    if micro_batches < 1:
-        raise ValueError("micro_batches must be >= 1")
-    return max(micro_batches * stage_times.bottleneck, stage_times.traversal)
-
-
-def pipelined_batch_completion(stage_times: StageTimes, micro_batches: int) -> float:
-    """Wall time for ``micro_batches`` independent micro-batches to clear a pipeline.
-
-    Classic pipeline fill + steady state: ``sum_j t_j + (m - 1) * t_max``.
-    Used for the encoding phase, where micro-batches have no mutual
-    dependency.
-    """
-    if micro_batches < 1:
-        raise ValueError("micro_batches must be >= 1")
-    return stage_times.traversal + (micro_batches - 1) * stage_times.bottleneck
-
-
-def token_latency(stage_times: StageTimes) -> float:
-    """Latency contribution of generating one token: pipeline traversal time."""
-    return stage_times.traversal
-
-
-def pipelined_iteration_period_batch(
-    stage_times: StageTimesBatch, micro_batches: int | np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`pipelined_iteration_period`.
-
-    ``micro_batches`` may be a scalar or a per-point array (WAA searches vary
-    ``B_m`` per configuration).
+    token has left the last stage.  ``micro_batches`` may be a scalar or a
+    per-point array (WAA searches vary ``B_m`` per configuration).
     """
     micro = np.asarray(micro_batches)
     if (micro < 1).any():
@@ -289,7 +171,13 @@ def pipelined_iteration_period_batch(
 def pipelined_batch_completion_batch(
     stage_times: StageTimesBatch, micro_batches: int | np.ndarray
 ) -> np.ndarray:
-    """Vectorized :func:`pipelined_batch_completion`."""
+    """Per-point wall time for ``micro_batches`` independent micro-batches
+    to clear a pipeline.
+
+    Classic pipeline fill + steady state: ``sum_j t_j + (m - 1) * t_max``.
+    Used for the encoding phase, where micro-batches have no mutual
+    dependency.
+    """
     micro = np.asarray(micro_batches)
     if (micro < 1).any():
         raise ValueError("micro_batches must be >= 1")
@@ -334,93 +222,12 @@ GIB = 1024 ** 3
 _RESERVED_FRACTION = 0.08
 
 
-def estimate_stage_memory(
-    placement: Placement,
-    stage: StagePlan,
-    encode_batch: float,
-    decode_batch: float,
-    avg_input_len: float,
-    avg_context_len: float,
-) -> StageMemory:
-    """Estimate one stage's per-GPU memory use under a schedule.
-
-    Encoder-role stages hold their encoder layers' weights (for decoder-only
-    models these are decoder layers, i.e. the replicated copy) plus prefill
-    activations; decoder-role stages hold decoder weights plus the standing
-    KV cache of the in-flight decode batch; RRA stages hold both.
-    """
-    model = placement.model
-    tp = stage.tp_degree
-    weights = stage_weight_bytes_per_gpu(placement, stage)
-    kv = 0.0
-    act = 0.0
-    if stage.encoder_layers > 0:
-        act += (
-            4.0
-            * encode_batch
-            * avg_input_len
-            * model.hidden_size
-            * model.dtype_bytes
-            / tp
-        )
-        if model.is_encoder_decoder:
-            # Encoder output kept for cross-attention until handover.
-            kv += (
-                encode_batch
-                * avg_input_len
-                * model.hidden_size
-                * model.dtype_bytes
-                / tp
-            )
-    if stage.decoder_layers > 0:
-        kv += (
-            decode_batch
-            * avg_context_len
-            * stage.decoder_layers
-            * model.kv_bytes_per_token_per_layer()
-            / tp
-        )
-        act += 2.0 * decode_batch * model.hidden_size * model.dtype_bytes / tp
-    capacity = placement.cluster.gpu.memory_bytes * (1.0 - _RESERVED_FRACTION)
-    return StageMemory(
-        stage_id=stage.stage_id,
-        role=stage.role,
-        weights_gib=weights / GIB,
-        kv_cache_gib=kv / GIB,
-        activation_gib=act / GIB,
-        capacity_gib=capacity / GIB,
-    )
-
-
-def estimate_placement_memory(
-    placement: Placement,
-    encode_batch: float,
-    decode_batch: float,
-    avg_input_len: float,
-    avg_context_len: float,
-) -> list[StageMemory]:
-    """Memory estimate for every stage of a placement."""
-    return [
-        estimate_stage_memory(
-            placement, stage, encode_batch, decode_batch, avg_input_len, avg_context_len
-        )
-        for stage in placement.stages
-    ]
-
-
-def placement_fits_memory(stage_memory: list[StageMemory]) -> bool:
-    """Whether every stage of a placement fits on its GPUs."""
-    return all(m.fits for m in stage_memory)
-
-
 @dataclass(frozen=True, eq=False)
 class MemoryColumns:
     """Per-stage memory of one placement at many evaluation points.
 
-    The one-pass counterpart of :func:`estimate_placement_memory`:
     ``kv_cache_gib[s, p]`` and ``activation_gib[s, p]`` belong to stage
-    ``s`` at point ``p`` and are computed in the scalar function's
-    operation order, so :meth:`stage_memory` equals its result exactly.
+    ``s`` at point ``p``.
 
     Attributes:
         placement: The placement whose stages the rows follow.
@@ -439,7 +246,7 @@ class MemoryColumns:
     fits: np.ndarray
 
     def stage_memory(self, point: int) -> tuple[StageMemory, ...]:
-        """The scalar per-stage breakdown of one evaluation point."""
+        """The per-stage breakdown of one evaluation point."""
         return tuple(
             StageMemory(
                 stage_id=stage.stage_id,
@@ -518,14 +325,15 @@ def estimate_memory_columns(
     avg_input_len: float,
     avg_context_len: float,
 ) -> MemoryColumns:
-    """Vectorized :func:`estimate_placement_memory` over per-point batch sizes.
+    """Per-stage, per-GPU memory of a placement at per-point batch sizes.
 
-    Every stage and point is one ``(stages, points)`` broadcast against the
-    placement's :attr:`~repro.core.allocation.Placement.stage_arrays`, in
-    the scalar function's operation order; a term the scalar function
-    skips for a stage is a zero here, which adds exactly.  Feasibility
-    verdicts therefore cannot diverge between the scalar and batched
-    estimators.
+    Encoder-role stages hold their encoder layers' weights (for decoder-only
+    models these are decoder layers, i.e. the replicated copy) plus prefill
+    activations; decoder-role stages hold decoder weights plus the standing
+    KV cache of the in-flight decode batch; RRA stages hold both.  Every
+    stage and point is one ``(stages, points)`` broadcast against the
+    placement's :attr:`~repro.core.allocation.Placement.stage_arrays`; a
+    term that does not apply to a stage is a zero, which adds exactly.
     """
     encode_batch = np.asarray(encode_batch, dtype=float)
     decode_batch = np.asarray(decode_batch, dtype=float)

@@ -12,8 +12,9 @@ Two things live here:
    distribution ``P_D(S)`` and the encoding frequency ``N_D`` of RRA
    scheduling, compute ``P_D(U)`` -- the probability that a query finishes
    decoding at the ``U``-th iteration after the most recent encoding phase --
-   and from it the steady-state relationship between encoder and decoder
-   batch sizes.
+   and the fraction of a decode batch still alive at each iteration.  The
+   simulator's :class:`~repro.core.simulator.EstimateContext` derives the
+   steady-state decoder batch ``B_D = B_E / sum_U P_D(U)`` from them.
 """
 
 from __future__ import annotations
@@ -290,33 +291,6 @@ def completion_probability(
     return p_u
 
 
-def expected_completion_fraction(
-    output_dist: SequenceDistribution, num_decode_iterations: int
-) -> float:
-    """``sum_U P_D(U)``: expected fraction of the batch completing per phase."""
-    return float(completion_probability(output_dist, num_decode_iterations).sum())
-
-
-def decode_batch_for_encode_batch(
-    encode_batch: float,
-    output_dist: SequenceDistribution,
-    num_decode_iterations: int,
-) -> float:
-    """Steady-state decoder batch ``B_D = B_E / sum_U P_D(U)`` (Section 6).
-
-    At steady state the number of queries completing per decoding phase must
-    equal the number of freshly encoded queries fed in, so the standing
-    decoder batch is the encoder batch divided by the per-phase completion
-    fraction.
-    """
-    if encode_batch < 0:
-        raise ValueError("encode_batch must be non-negative")
-    fraction = expected_completion_fraction(output_dist, num_decode_iterations)
-    if fraction <= 0:
-        raise ValueError("completion fraction is zero; N_D too small for support")
-    return encode_batch / fraction
-
-
 def surviving_fraction(p_u: np.ndarray) -> np.ndarray:
     """Fraction of a decode batch still alive at each iteration of a phase.
 
@@ -331,22 +305,6 @@ def surviving_fraction(p_u: np.ndarray) -> np.ndarray:
     # A sequential subtraction: once the running value is not positive it
     # only falls, so clamping the whole run equals clamping each step.
     return np.maximum(np.subtract.accumulate(steps), 0.0)
-
-
-def expected_decode_batch_per_iteration(
-    decode_batch: float,
-    output_dist: SequenceDistribution,
-    num_decode_iterations: int,
-) -> np.ndarray:
-    """Expected batch size at each of the ``N_D`` iterations of a decode phase.
-
-    Queries that complete at iteration ``U`` (with probability ``P_D(U)``)
-    are early-terminated and no longer occupy a batch slot at iterations
-    ``> U``; this array feeds the per-iteration workload estimate of the
-    timeline simulator.
-    """
-    p_u = completion_probability(output_dist, num_decode_iterations)
-    return decode_batch * surviving_fraction(p_u)
 
 
 def average_context_length(

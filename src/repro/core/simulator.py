@@ -8,35 +8,33 @@ latency of generating the target (99th-percentile) sequence length, and a
 per-stage memory estimate used to reject infeasible schedules -- which is
 what rules WAA out for the 175B/341B models.
 
-Two estimation engines share one cost model:
+There is one estimator, :meth:`XSimulator.estimate_batch`, which prices
+*many* points in a handful of numpy passes; :meth:`XSimulator.estimate` is
+its one-point call.  Its native input is a :class:`ConfigColumns`: per
+(policy, partial-TP setting) group, the ``B_E`` axis, the ``N_D`` (RRA) or
+``B_m`` (WAA) axis, and each point as integer coordinates ``(x1, x2)`` into
+them.  Its output is an :class:`EstimateColumns` -- latency, throughput and
+feasibility arrays -- which builds a point's :class:`ScheduleEstimate` only
+when asked.  A list of configurations is grouped into columns (each group's
+axes are the distinct values in the call), priced by the same passes and
+boxed point by point.
 
-* :meth:`XSimulator.estimate` is the scalar reference implementation -- one
-  configuration in, one estimate out, with the per-iteration Python loop
-  written the way Section 6 describes the timeline.
-* :meth:`XSimulator.estimate_batch` evaluates *many* points in a handful of
-  numpy passes.  Its native input is a :class:`ConfigColumns`: per (policy,
-  partial-TP setting) group, the ``B_E`` axis, the ``N_D`` (RRA) or ``B_m``
-  (WAA) axis, and each point as integer coordinates ``(x1, x2)`` into them.
-  Its output is an :class:`EstimateColumns` -- latency, throughput and
-  feasibility arrays -- which builds a point's :class:`ScheduleEstimate`
-  only when asked.  A list of configurations is grouped into columns (each
-  group's axes are the distinct values in the call), priced by the same
-  passes and boxed point by point, so there is one estimator.
-  Placements, distribution statistics and two tables per RRA group axis are
-  memoized in an :class:`EstimateContext` -- the encode phase of every
-  ``B_E`` on the axis, and the completion fraction and zero-padded
-  alive-batch row of every ``N_D`` -- so an RRA pass gathers them by
-  coordinate.  The shrinking-batch decode phase of a whole column of points
-  becomes a 2-D (point x iteration) array fed through one vectorized grid
-  interpolation, and memory feasibility is array arithmetic.  The RRA
-  groups of a call share one pass and its WAA groups another, with one
-  profile lookup per (TP degree, node-spanning) signature across groups.
-  The batched engine replicates the scalar arithmetic operation for
-  operation and sums stages and decode iterations sequentially, as the
-  scalar loop does, so every batched estimate equals the scalar one under
-  ``==`` and does not depend on the other points in its call -- which is
-  what lets the scheduler price any mix of subspaces, and speculative
-  points, in one call without changing a search decision.
+Placements, distribution statistics and two tables per RRA group axis are
+memoized in an :class:`EstimateContext` -- the encode phase of every
+``B_E`` on the axis, and the completion fraction and zero-padded
+alive-batch row of every ``N_D`` -- so an RRA pass gathers them by
+coordinate.  The shrinking-batch decode phase of a whole column of points
+becomes a 2-D (point x iteration) array fed through one vectorized grid
+interpolation, and memory feasibility is array arithmetic.  The RRA groups
+of a call share one pass and its WAA groups another, with one profile
+lookup per (TP degree, node-spanning) signature across groups.  Stages and
+decode iterations are summed sequentially, so an estimate does not depend
+on the other points in its call -- which is what lets the scheduler price
+any mix of subspaces, and speculative points, in one call without changing
+a search decision.  The test suite's scalar cost model
+(``tests/reference/simulator.py``: one configuration at a time, with the
+per-iteration loop written the way Section 6 describes the timeline) is
+the oracle every estimate must equal under ``==``.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,19 +55,11 @@ from repro.core.allocation import (
 from repro.core.analytical import (
     MemoryColumns,
     StageMemory,
-    StageTimes,
-    decode_stage_times,
     decode_stage_times_batches,
-    encode_stage_times,
     encode_stage_times_batches,
     estimate_memory_columns,
-    estimate_placement_memory,
-    pipelined_batch_completion,
     pipelined_batch_completion_batch,
-    pipelined_iteration_period,
     pipelined_iteration_period_batch,
-    placement_fits_memory,
-    token_latency,
 )
 from repro.core.config import (
     ScheduleConfig,
@@ -95,6 +85,9 @@ _BATCH_CHUNK = 4096
 # call, and must not grow the memo for the life of the simulator.
 _AXIS_TABLE_LIMIT = 64
 
+
+# The coordinates of a one-point group's point.
+_ORIGIN = np.zeros(1, dtype=np.int64)
 
 # One pass's share of a group: (group, its points, call position of the
 # first of them).
@@ -152,10 +145,9 @@ class ScheduleEstimate:
         cycle_time_s: RRA cycle time (encode phase + ``N_D`` decode
             iterations) or the WAA per-iteration period.
         memory_feasible: Whether every stage fits in GPU memory.
-        stage_memory: Per-stage memory breakdown: a tuple from
-            :meth:`XSimulator.estimate`, a lazily built
-            :class:`~repro.core.analytical.StageMemorySequence` that equals
-            it from :meth:`XSimulator.estimate_batch`.
+        stage_memory: Per-stage memory breakdown, a lazily built
+            :class:`~repro.core.analytical.StageMemorySequence` that acts
+            as (and equals) the tuple of its :class:`StageMemory` s.
         placement: The GPU/layer placement behind the estimate.
     """
 
@@ -246,6 +238,20 @@ class ConfigGroup:
             tensor_parallel=self.tensor_parallel,
             decode_batch_override=override,
             **second_field,
+        )
+
+    def single(self, i: int) -> "ConfigGroup":
+        """Point ``i`` alone: a one-point group whose axes hold only its
+        values."""
+        override = self.decode_batch_override
+        return ConfigGroup(
+            self.policy,
+            self.tensor_parallel,
+            self.encode_batches[self.x1[i : i + 1]],
+            self.second_values[self.x2[i : i + 1]],
+            _ORIGIN,
+            _ORIGIN,
+            None if override is None else override[i : i + 1],
         )
 
 
@@ -347,7 +353,6 @@ class EstimateColumns:
         "_part",
         "_pos",
         "_parts",
-        "_scalar",
     )
 
     def __init__(self, size: int, target_length: int) -> None:
@@ -359,11 +364,10 @@ class EstimateColumns:
         self.cycle_time_s = np.zeros(size)
         self.feasible = np.zeros(size, dtype=bool)
         # Point k's placement and memory columns are _parts[_part[k]], and
-        # it is column _pos[k] of them, unless the scalar path priced it.
-        self._part = np.zeros(size, dtype=np.int64)
+        # it is column _pos[k] of them; _part[k] is -1 until it is priced.
+        self._part = np.full(size, -1, dtype=np.int64)
         self._pos = np.zeros(size, dtype=np.int64)
         self._parts: list[tuple[Placement, MemoryColumns]] = []
-        self._scalar: dict[int, ScheduleEstimate | None] = {}
 
     def __len__(self) -> int:
         return len(self.latency_s)
@@ -377,21 +381,6 @@ class EstimateColumns:
         self._parts.append((placement, memory))
         self.feasible[points] = memory.fits
 
-    def _put(self, k: int, estimate: ScheduleEstimate | None) -> None:
-        """Point ``k`` as the scalar path priced it (``None``: it failed)."""
-        self._scalar[k] = estimate
-        if estimate is None:
-            self.latency_s[k] = np.inf
-            self.throughput_seq_per_s[k] = 0.0
-            self.feasible[k] = False
-            return
-        self.latency_s[k] = estimate.latency_s
-        self.throughput_seq_per_s[k] = estimate.throughput_seq_per_s
-        self.throughput_tokens_per_s[k] = estimate.throughput_tokens_per_s
-        self.decode_batch[k] = estimate.decode_batch
-        self.cycle_time_s[k] = estimate.cycle_time_s
-        self.feasible[k] = estimate.feasible
-
     def estimate(self, k: int, config: ScheduleConfig) -> ScheduleEstimate | None:
         """Point ``k``'s :class:`ScheduleEstimate`, or ``None`` if it could
         not be estimated.
@@ -400,10 +389,10 @@ class EstimateColumns:
         per-stage memory breakdown is a lazy view of the pass's memory
         columns.
         """
-        if k in self._scalar:
-            estimate = self._scalar[k]
-            return None if estimate is None else replace(estimate, config=config)
-        placement, memory = self._parts[self._part[k]]
+        part = self._part[k]
+        if part < 0:
+            return None
+        placement, memory = self._parts[part]
         return ScheduleEstimate(
             config=config,
             throughput_seq_per_s=float(self.throughput_seq_per_s[k]),
@@ -422,9 +411,8 @@ class EstimateContext:
     """Memoized, simulator-wide state shared across estimate calls.
 
     Everything here is a pure function of the simulator's (immutable) model,
-    cluster, profile and distributions, yet the original scalar path
-    recomputed it on every single evaluation point: the GPU/layer placement,
-    the average input/context lengths, and the RRA completion-probability
+    cluster, profile and distributions: the GPU/layer placements, the
+    average input/context lengths, and the RRA completion-probability
     arrays.  A schedule search evaluates tens of thousands of points against
     the same simulator, so memoizing these turns per-point setup cost into
     one-time cost.  The RRA tables are memoized per group axis, by its
@@ -509,7 +497,7 @@ class EstimateContext:
         """RRA encode-phase time of every ``B_E`` on an axis.
 
         ``B_E`` is split into as many micro-batches as the placement has
-        stages, as in the scalar path.  Profile lookups are element-wise,
+        stages.  Profile lookups are element-wise,
         so pricing the axis once and gathering by coordinate equals pricing
         every point.
         """
@@ -656,18 +644,20 @@ class XSimulator:
         config: ScheduleConfig,
         target_length: int | None = None,
     ) -> ScheduleEstimate:
-        """Estimate throughput/latency/memory of ``config``.
+        """Estimate throughput/latency/memory of ``config``: the one-point
+        :meth:`estimate_batch` call.
 
         Args:
             config: Schedule configuration to evaluate.
             target_length: Output length whose generation latency is reported,
                 an integer >= 1; defaults to the 99th percentile of the
                 output distribution.
+
+        Raises:
+            ValueError / KeyError: if ``config`` cannot be estimated (no
+                valid WAA split, an unprofiled TP degree, ...).
         """
-        target = self._target(target_length)
-        if config.policy is SchedulePolicy.RRA:
-            return self._estimate_rra(config, target)
-        return self._estimate_waa(config, target)
+        return self.estimate_batch([config], target_length)[0]
 
     def estimate_batch(
         self,
@@ -675,12 +665,12 @@ class XSimulator:
         target_length: int | None = None,
         strict: bool = True,
     ) -> EstimateColumns | list[ScheduleEstimate | None]:
-        """Vectorized :meth:`estimate` over many points.
+        """Estimate many points.
 
         The RRA groups of the call share one numpy pass and the WAA groups
-        another, each chunked to at most ``_BATCH_CHUNK`` points.  Every
-        estimate equals the scalar :meth:`estimate` of its configuration
-        under ``==``, whatever else is in the call.
+        another, each chunked to at most ``_BATCH_CHUNK`` points.  An
+        estimate depends only on its configuration, whatever else is in
+        the call.
 
         Args:
             configs: The points, as :class:`ConfigColumns` (the scheduler's
@@ -689,10 +679,10 @@ class XSimulator:
                 distinct values of each group.
             target_length: Output length whose generation latency is
                 reported, an integer >= 1; defaults to the 99th percentile.
-            strict: When ``True`` (default) invalid configurations raise,
-                exactly like the scalar path.  When ``False`` they are
-                reported as not estimated instead, which is what the
-                scheduler uses to treat un-estimable points as infeasible.
+            strict: When ``True`` (default) the first point that cannot be
+                estimated raises.  When ``False`` such points are reported
+                as not estimated instead, which is what the scheduler uses
+                to treat un-estimable points as infeasible.
 
         Returns:
             For :class:`ConfigColumns`, their :class:`EstimateColumns`.  For
@@ -751,29 +741,28 @@ class XSimulator:
 
         If the pass raises, each group is retried alone, and a group that
         still raises (unprofiled TP degree, no valid WAA split, degenerate
-        distribution, ...) falls back to the scalar path, so that per-point
-        errors surface -- or, in non-strict mode, become points that were
-        not estimated.
+        distribution, ...) is retried one point at a time, each on axes of
+        its own values, so that a point's error surfaces -- or, in
+        non-strict mode, the point stays not estimated.
         """
+        group, part, out = pieces[0]
         try:
             estimator(pieces, priced)
             return
         except (ValueError, KeyError):
-            if len(pieces) > 1:
-                for piece in pieces:
-                    self._estimate_isolated(estimator, [piece], priced, strict)
-                return
-        group, part, out = pieces[0]
-        for k, i in enumerate(range(part.start, part.stop), start=out):
-            try:
-                estimate = self.estimate(
-                    group.config(i), target_length=priced.target_length
-                )
-            except (ValueError, KeyError):
+            if len(pieces) == 1 and len(group) == 1:
                 if strict:
                     raise
-                estimate = None
-            priced._put(k, estimate)
+                return
+        if len(pieces) > 1:
+            retries = [[piece] for piece in pieces]
+        else:
+            retries = [
+                [(group.single(i), slice(0, 1), out + i - part.start)]
+                for i in range(part.start, part.stop)
+            ]
+        for retry in retries:
+            self._estimate_isolated(estimator, retry, priced, strict)
 
     def build_placement(self, config: ScheduleConfig) -> Placement:
         """The GPU/layer placement a config implies (exposed for the runner)."""
@@ -784,63 +773,6 @@ class XSimulator:
         return self.context.decode_batch_for(config)
 
     # -- RRA ---------------------------------------------------------------------
-
-    def _estimate_rra(self, config: ScheduleConfig, target: int) -> ScheduleEstimate:
-        ctx = self.context
-        placement = ctx.placement_for(config)
-        avg_input = ctx.avg_input
-        avg_context = ctx.avg_context
-        decode_batch = ctx.decode_batch_for(config)
-        num_stages = len(placement.decode_stages)
-        micro_batches = max(num_stages, 1)
-
-        # Encoding phase: B_E split into as many micro-batches as stages.
-        enc_micro = config.encode_batch / micro_batches
-        enc_times = encode_stage_times(self.profile, placement, enc_micro, avg_input)
-        encode_phase = pipelined_batch_completion(enc_times, micro_batches)
-
-        # Decoding phase: N_D iterations over a shrinking batch.
-        _, remaining = ctx.rra_decode(config.decode_iterations)
-        per_iter_batches = decode_batch * remaining
-        decode_phase = 0.0
-        for alive in per_iter_batches:
-            dec_times = decode_stage_times(
-                self.profile, placement, alive / micro_batches, avg_context
-            )
-            decode_phase += pipelined_iteration_period(dec_times, micro_batches)
-
-        cycle_time = encode_phase + decode_phase
-        completed_per_cycle = float(config.encode_batch)
-        throughput_seq = completed_per_cycle / cycle_time if cycle_time > 0 else 0.0
-        tokens_per_cycle = float(np.add.accumulate(per_iter_batches)[-1])
-        throughput_tok = tokens_per_cycle / cycle_time if cycle_time > 0 else 0.0
-
-        # Latency of generating `target` tokens: the query decodes N_D tokens
-        # per cycle, interleaved with the encoding phases of later cycles.
-        avg_iter = decode_phase / config.decode_iterations
-        full_cycles = max(math.ceil(target / config.decode_iterations) - 1, 0)
-        remaining_tokens = target - full_cycles * config.decode_iterations
-        latency = encode_phase + full_cycles * cycle_time + remaining_tokens * avg_iter
-
-        stage_memory = estimate_placement_memory(
-            placement,
-            encode_batch=config.encode_batch,
-            decode_batch=decode_batch,
-            avg_input_len=avg_input,
-            avg_context_len=avg_context,
-        )
-        return ScheduleEstimate(
-            config=config,
-            throughput_seq_per_s=throughput_seq,
-            throughput_tokens_per_s=throughput_tok,
-            latency_s=latency,
-            target_length=target,
-            decode_batch=decode_batch,
-            cycle_time_s=cycle_time,
-            memory_feasible=placement_fits_memory(stage_memory),
-            stage_memory=tuple(stage_memory),
-            placement=placement,
-        )
 
     def _estimate_rra_batch(
         self, pieces: list[_Piece], priced: EstimateColumns
@@ -858,8 +790,8 @@ class XSimulator:
         once over the concatenated inputs of every group that has it;
         stage times, stage sums and decode sums stay per group, and cycle
         time and latency are one shared array expression.  Every sum runs
-        in the scalar path's order, so no result depends on the rest of
-        the call.
+        sequentially, stage by stage and iteration by iteration, so no
+        result depends on the rest of the call.
         """
         ctx = self.context
         target = priced.target_length
@@ -895,8 +827,8 @@ class XSimulator:
 
         # Decoding phase: all (point, iteration) pairs at once.  Padded
         # entries have an alive batch of zero, price to a zero stage time
-        # and therefore a zero period -- exactly like the scalar loop never
-        # visiting them -- and add exactly to the running sum.
+        # and therefore a zero period -- as if a per-point loop never
+        # visited them -- and add exactly to the running sum.
         dec_times = decode_stage_times_batches(
             self.profile,
             placements,
@@ -944,80 +876,6 @@ class XSimulator:
         )
 
     # -- WAA ---------------------------------------------------------------------
-
-    def _waa_weights(self, config: ScheduleConfig) -> tuple[float, float]:
-        """Encode/decode weights used to split GPUs for a WAA config."""
-        return self.context.waa_weights(config)
-
-    def _estimate_waa(self, config: ScheduleConfig, target: int) -> ScheduleEstimate:
-        ctx = self.context
-        placement = ctx.placement_for(config)
-        avg_input = ctx.avg_input
-        avg_context = ctx.avg_context
-        decode_batch = ctx.decode_batch_for(config)
-        micro_batches = config.micro_batches
-
-        # Decode side: B_m micro-batches pipelined across the decode stages.
-        dec_times = decode_stage_times(
-            self.profile, placement, decode_batch / micro_batches, avg_context
-        )
-        decode_period = pipelined_iteration_period(dec_times, micro_batches)
-
-        # Encode side: the encoder pipeline must deliver B_E fresh queries per
-        # decode iteration; consecutive encode batches pipeline freely, so its
-        # period is the bottleneck encode stage time, and the handover adds a
-        # KV transfer for decoder-only models.
-        enc_times = encode_stage_times(
-            self.profile, placement, config.encode_batch, avg_input
-        )
-        encode_period = enc_times.bottleneck
-        kv_layers = self.model.num_decoder_layers
-        kv_transfer = self.profile.kv_transfer_time(
-            config.encode_batch, avg_input, kv_layers
-        ) if not self.model.is_encoder_decoder else self.profile.kv_transfer_time(
-            config.encode_batch, avg_input, 1
-        )
-
-        iteration_period = max(decode_period, encode_period)
-        throughput_seq = (
-            config.encode_batch / iteration_period if iteration_period > 0 else 0.0
-        )
-        throughput_tok = (
-            decode_batch / iteration_period if iteration_period > 0 else 0.0
-        )
-
-        # Latency: wait for admission into an encode batch (up to one encode
-        # period), traverse the encoder pipeline, hand over the KV cache, then
-        # generate `target` tokens at one iteration period each, with the last
-        # token's pipeline traversal exposed.
-        latency = (
-            encode_period
-            + enc_times.traversal
-            + kv_transfer
-            + max(target - 1, 0) * iteration_period
-            + token_latency(dec_times)
-        )
-
-        cycle_time = iteration_period
-        stage_memory = estimate_placement_memory(
-            placement,
-            encode_batch=config.encode_batch,
-            decode_batch=decode_batch,
-            avg_input_len=avg_input,
-            avg_context_len=avg_context,
-        )
-        return ScheduleEstimate(
-            config=config,
-            throughput_seq_per_s=throughput_seq,
-            throughput_tokens_per_s=throughput_tok,
-            latency_s=latency,
-            target_length=target,
-            decode_batch=decode_batch,
-            cycle_time_s=cycle_time,
-            memory_feasible=placement_fits_memory(stage_memory),
-            stage_memory=tuple(stage_memory),
-            placement=placement,
-        )
 
     def _estimate_waa_batch(
         self, pieces: list[_Piece], priced: EstimateColumns

@@ -10,13 +10,9 @@ from repro.engine.execution import (
     KVHandover,
     MixedOutcome,
     PlanColumns,
-    StageWork,
     TaskRef,
-    decode_chain_times,
-    encode_chain_times,
     price_columns,
     price_item,
-    price_work,
 )
 from repro.engine.kv_manager import (
     ContiguousKVCache,
@@ -50,14 +46,10 @@ __all__ = [
     "RunResult",
     "SMALL_PLAN_ITEMS",
     "StageTask",
-    "StageWork",
     "TaskRef",
     "Timeline",
     "collect_pool_result",
-    "decode_chain_times",
-    "encode_chain_times",
     "price_columns",
     "price_item",
-    "price_work",
     "split_ids",
 ]

@@ -20,18 +20,20 @@ emits the cycle's tasks:
   (pipeline hand-offs, autoregressive feedback, merge/transfer edges),
   micro-batch iteration, compaction after early termination, and the
   first-token/completion bookkeeping all live here.
-* **Pricing** is batched: a plan collects every (stage, batch, length)
-  tuple of the cycle and resolves the durations with one vectorized grid
-  interpolation per (phase, TP-signature) group -- the same batched profile
-  lookups that power :meth:`~repro.core.simulator.XSimulator.estimate_batch`
-  -- instead of one scalar ``encode_stage_time``/``decode_stage_time`` call
-  per task.  The batched lookups are element-wise bit-identical to the
-  scalar ones (see :meth:`MeasurementGrid.lookup_batch`), and tasks are
-  emitted in plan order, so replays are bit-identical to the historical
-  per-task scalar path (pinned by ``tests/core/test_runner_parity.py``).
-  Plans under :data:`SMALL_PLAN_ITEMS` items go through the scalar lookups
-  instead, which are cheaper at that size; the choice is invisible in the
-  results.
+* **Pricing** is one formula: a work item (stage, batch, length) costs
+  ``layers * (per_layer + sync)`` from the profile, plus the driver's
+  per-iteration overhead when positive -- the stage time of the
+  simulator's cost model, whose scalar form is the test suite's oracle
+  (``tests/reference/simulator.py``).  :func:`price_item` prices one item
+  from plain floats; :func:`price_columns` prices a plan's columnar buffer,
+  through :func:`price_item` under :data:`SMALL_PLAN_ITEMS` items and
+  otherwise with one vectorized grid interpolation per (phase,
+  TP-signature) group -- the batched profile lookups that power
+  :meth:`~repro.core.simulator.XSimulator.estimate_batch`.  The batched
+  lookups are element-wise bit-identical to the scalar ones (see
+  :meth:`MeasurementGrid.lookup_batch`), and tasks are emitted in plan
+  order, so the pricer a plan takes is invisible in the results (replays
+  are pinned by ``tests/core/test_runner_parity.py``).
 * **Templates** skip the plan where a cycle's shape is fixed.  An online
   continuous-batching cycle -- a decode step of the running batch plus at
   most a few single-request prefills -- is one
@@ -76,35 +78,9 @@ from repro.engine.batching import split_ids
 from repro.engine.pool import EMPTY_IDS
 from repro.engine.timeline import NO_DEP, Timeline
 
-ENCODE = "encode"
-DECODE = "decode"
-
-
 # ---------------------------------------------------------------------------
 # Priced work items
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class StageWork:
-    """One priced component of a stage task.
-
-    Attributes:
-        kind: ``"encode"`` or ``"decode"`` -- which profile grid prices it.
-        layers: Layers the stage hosts for this phase.
-        tp_degree: Tensor-parallel degree of the stage.
-        spans_nodes: Whether the stage's TP group crosses a node boundary.
-        batch: (Micro-)batch size of the work.
-        length: Average input length (encode) or attention-context length
-            (decode) of the batch.
-    """
-
-    kind: str
-    layers: int
-    tp_degree: int
-    spans_nodes: bool
-    batch: float
-    length: float
 
 
 # Integer kind codes of the columnar work buffer (kind column, int8).
@@ -128,12 +104,15 @@ SMALL_PLAN_ITEMS = 28
 class PlanColumns:
     """Preallocated columnar (structure-of-arrays) buffer of work items.
 
-    One slot per :class:`StageWork`-shaped item: ``kind`` (int8 code),
-    ``layers``/``tp`` (int64), ``spans`` (bool), ``batch``/``length``
-    (float64).  The buffer grows by doubling and is *reset*, never
-    reallocated, between cycles -- the engine hands the same buffer to
-    every plan it builds, so steady-state serving performs zero per-cycle
-    allocation for plan storage.
+    One slot per work item: ``kind`` (int8 code: :data:`KIND_ENCODE` or
+    :data:`KIND_DECODE`, which profile grid prices it), ``layers``/``tp``
+    (int64: layers the stage hosts for the phase, its TP degree),
+    ``spans`` (bool: whether its TP group crosses a node boundary),
+    ``batch``/``length`` (float64: the (micro-)batch size, and its average
+    input or attention-context length).  The buffer grows by doubling and
+    is *reset*, never reallocated, between cycles -- the engine hands the
+    same buffer to every plan it builds, so steady-state serving performs
+    zero per-cycle allocation for plan storage.
     """
 
     __slots__ = ("kind", "layers", "tp", "spans", "batch", "length", "count")
@@ -222,12 +201,12 @@ def price_item(
 ) -> float:
     """Duration of one work item, from plain Python scalars.
 
-    The scalar pricer's arithmetic: ``layers * (per_layer + sync)`` through
-    the scalar profile lookups, plus ``overhead_s`` when that base time is
-    positive; an item without layers or batch costs nothing.  ``kind`` is
-    :data:`KIND_ENCODE` or :data:`KIND_DECODE`; ``batch`` and ``length``
-    must be floats, as the columnar buffer would store them, for the result
-    to equal :func:`price_columns` bit for bit.
+    ``layers * (per_layer + sync)`` through the scalar profile lookups,
+    plus ``overhead_s`` when that base time is positive; an item without
+    layers or batch costs nothing.  ``kind`` is :data:`KIND_ENCODE` or
+    :data:`KIND_DECODE`; ``batch`` and ``length`` must be floats, as the
+    columnar buffer would store them, for the result to equal
+    :func:`price_columns` bit for bit.
     """
     if batch <= 0 or layers == 0:
         return 0.0
@@ -320,10 +299,9 @@ def price_columns(
 ) -> np.ndarray:
     """Durations of a columnar work buffer.
 
-    Replicates the scalar :func:`~repro.core.analytical.encode_stage_time` /
-    :func:`~repro.core.analytical.decode_stage_time` arithmetic exactly:
-    ``layers * (per_layer + sync)``, plus ``overhead_s`` on components with
-    a positive base time (the baselines' per-iteration engine overhead).
+    Each item costs what :func:`price_item` gives it: ``layers *
+    (per_layer + sync)``, plus ``overhead_s`` on components with a positive
+    base time (the baselines' per-iteration engine overhead).
     Buffers under :data:`SMALL_PLAN_ITEMS` items are priced through the
     scalar profile lookups, larger ones through one vectorized lookup per
     group; the two pricers agree bit for bit.
@@ -337,82 +315,6 @@ def price_columns(
     else:
         _price_positions_batched(profile, cols, np.arange(n), overhead_s, out)
     return out
-
-
-_KIND_CODES = {ENCODE: KIND_ENCODE, DECODE: KIND_DECODE}
-
-
-def price_work(
-    profile: ProfileTable,
-    items: list[StageWork],
-    overhead_s: float = 0.0,
-) -> np.ndarray:
-    """Durations of ``items`` -- object-list front-end of :func:`price_columns`.
-
-    Kept as the public pricing entry point for callers that hold
-    :class:`StageWork` lists (chain helpers, tests); plans built through
-    the engine price their columnar buffers directly without materialising
-    item objects.
-
-    Raises:
-        ValueError: if an item's kind is neither ``"encode"`` nor
-            ``"decode"``.
-    """
-    cols = PlanColumns(max(len(items), 1))
-    for item in items:
-        code = _KIND_CODES.get(item.kind)
-        if code is None:
-            raise ValueError(
-                f"unknown StageWork kind {item.kind!r}; "
-                f"expected {ENCODE!r} or {DECODE!r}"
-            )
-        cols.push(
-            code,
-            item.layers,
-            item.tp_degree,
-            item.spans_nodes,
-            item.batch,
-            item.length,
-        )
-    return price_columns(profile, cols, overhead_s)
-
-
-def encode_chain_times(
-    profile: ProfileTable,
-    placement: Placement,
-    stages: tuple[StagePlan, ...],
-    batch: float,
-    input_len: float,
-    overhead_s: float = 0.0,
-) -> list[float]:
-    """Encode time of each stage of a chain, priced in one batched lookup."""
-    items = [
-        StageWork(
-            ENCODE, s.encoder_layers, s.tp_degree,
-            placement.stage_spans_nodes(s), batch, input_len,
-        )
-        for s in stages
-    ]
-    return [float(v) for v in price_work(profile, items, overhead_s)]
-
-
-def decode_chain_times(
-    profile: ProfileTable,
-    placement: Placement,
-    stages: tuple[StagePlan, ...],
-    batch: float,
-    context_len: float,
-    overhead_s: float = 0.0,
-) -> list[float]:
-    """Decode-step time of each stage of a chain, one batched lookup."""
-    items = [
-        StageWork(
-            DECODE, s.decoder_layers, s.tp_degree,
-            placement.stage_spans_nodes(s), batch, context_len,
-        )
-        for s in stages
-    ]
-    return [float(v) for v in price_work(profile, items, overhead_s)]
 
 
 # ---------------------------------------------------------------------------
@@ -670,12 +572,10 @@ class DecodeOutcome:
     Attributes:
         any_alive: Whether any micro-batch still had live requests.
         freed: Requests that completed (slots freed for admission).
-        completed: Ids of the completed requests, in completion order.
     """
 
     any_alive: bool
     freed: int
-    completed: np.ndarray
 
 
 @dataclass
@@ -947,7 +847,6 @@ class ExecutionEngine:
         prev_last = prev_last if prev_last is not None else {}
         freed = 0
         any_alive = False
-        completed_all: list[np.ndarray] = []
         placement = self.placement
         peak = self.peak_kv_tokens
         cols = plan.columns
@@ -991,7 +890,6 @@ class ExecutionEngine:
             if completed.size:
                 self.bookkeeping.completions.append((completed, last_decode))
                 freed += int(completed.size)
-                completed_all.append(completed)
                 # Compaction copies the freed entries' worth of cache to
                 # close the holes left by early termination; it occupies the
                 # chain's last stage.
@@ -1008,13 +906,7 @@ class ExecutionEngine:
                         tag="compaction",
                     )
             prev_last[g_index] = prev
-        return DecodeOutcome(
-            any_alive=any_alive,
-            freed=freed,
-            completed=(
-                np.concatenate(completed_all) if completed_all else EMPTY_IDS
-            ),
-        )
+        return DecodeOutcome(any_alive=any_alive, freed=freed)
 
     def decode_run(
         self,
@@ -1068,7 +960,7 @@ class ExecutionEngine:
             if run is not None
         ]
         if not runs:
-            return DecodeOutcome(any_alive=False, freed=0, completed=EMPTY_IDS)
+            return DecodeOutcome(any_alive=False, freed=0)
         n_stages = len(stages)
         tail_layers = stages[-1].decoder_layers
         placement = self.placement
@@ -1162,8 +1054,6 @@ class ExecutionEngine:
                 peak[stage.stage_id] = kv_tokens
         bookkeeping = self.bookkeeping
         freed = 0
-        done_parts: list[np.ndarray] = []
-        done_iters: list[np.ndarray] = []
         start = 0
         for slot, r in enumerate(runs):
             t = r.batches.size
@@ -1177,19 +1067,7 @@ class ExecutionEngine:
                     (done, np.repeat(last_decode[slots], r.completed_counts))
                 )
                 freed += int(done.size)
-                done_parts.append(done)
-                if order is not None:
-                    done_iters.append(np.repeat(np.arange(t), r.completed_counts))
-        if not done_parts:
-            completed = EMPTY_IDS
-        elif len(done_parts) == 1:
-            completed = done_parts[0]
-        else:
-            # Completion order of the loop: iteration-major, then group.
-            completed = np.concatenate(done_parts)[
-                np.argsort(np.concatenate(done_iters), kind="stable")
-            ]
-        return DecodeOutcome(any_alive=True, freed=freed, completed=completed)
+        return DecodeOutcome(any_alive=True, freed=freed)
 
     # -- ExeGPT cycles --------------------------------------------------------------------
 

@@ -1,9 +1,13 @@
-"""Tests for the analytical stage-time and pipeline-period algebra."""
+"""Tests for the analytical stage-time and pipeline-period algebra.
+
+The one-point helpers live in the scalar cost-model oracle
+(``tests/reference/simulator.py``); the estimator's column helpers in
+:mod:`repro.core.analytical` must equal them under ``==``.
+"""
 
 import pytest
 
-from repro.core.allocation import allocate_rra, allocate_waa
-from repro.core.analytical import (
+from reference.simulator import (
     StageTimes,
     decode_stage_times,
     encode_stage_times,
@@ -13,6 +17,7 @@ from repro.core.analytical import (
     placement_fits_memory,
     token_latency,
 )
+from repro.core.allocation import allocate_rra, allocate_waa
 from repro.core.config import SchedulePolicy, TensorParallelConfig
 
 
@@ -112,7 +117,7 @@ class TestMemoryEstimation:
 
 
 class TestBatchedAlgebra:
-    """The vectorized stage-time/memory helpers must match the scalar ones."""
+    """The vectorized stage-time/memory helpers must match the oracle's."""
 
     def test_stage_times_batch_matches_scalar(self, tiny_profile, tiny_model, tiny_cluster):
         import numpy as np

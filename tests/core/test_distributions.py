@@ -4,16 +4,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import ScheduleConfig, SchedulePolicy
 from repro.core.distributions import (
     SequenceDistribution,
     average_context_length,
     completion_probability,
-    decode_batch_for_encode_batch,
-    expected_completion_fraction,
-    expected_decode_batch_per_iteration,
     surviving_fraction,
 )
+from repro.core.simulator import XSimulator
 from reference import distributions as reference
+
+
+def _simulator(profile, output_dist) -> XSimulator:
+    """A simulator whose estimator reads ``output_dist``: its
+    ``derived_decode_batch`` and ``context.rra_decode`` are the Section 6
+    steady-state math the estimates run."""
+    return XSimulator(profile, SequenceDistribution.constant(8), output_dist)
+
+
+def _rra(encode_batch: int, num_decode_iterations: int) -> ScheduleConfig:
+    return ScheduleConfig(
+        SchedulePolicy.RRA,
+        encode_batch=encode_batch,
+        decode_iterations=num_decode_iterations,
+    )
 
 
 @st.composite
@@ -156,26 +170,30 @@ class TestCompletionProbability:
         assert p_u.sum() == pytest.approx(0.5)
         assert p_u[9] == pytest.approx(0.5)
 
-    def test_fraction_decreases_with_nd(self):
+    def test_fraction_decreases_with_nd(self, tiny_profile):
         dist = SequenceDistribution.truncated_normal(32, 13, 80)
-        fractions = [expected_completion_fraction(dist, nd) for nd in (4, 8, 16, 32, 64)]
+        context = _simulator(tiny_profile, dist).context
+        fractions = [context.rra_decode(nd)[0] for nd in (4, 8, 16, 32, 64)]
         assert all(a <= b + 1e-9 for a, b in zip(fractions, fractions[1:]))
 
-    def test_decode_batch_at_least_encode_batch(self):
+    def test_decode_batch_at_least_encode_batch(self, tiny_profile):
         dist = SequenceDistribution.truncated_normal(32, 13, 80)
-        b_d = decode_batch_for_encode_batch(16, dist, num_decode_iterations=8)
+        b_d = _simulator(tiny_profile, dist).derived_decode_batch(_rra(16, 8))
         assert b_d >= 16
 
-    def test_decode_batch_steady_state_consistency(self):
+    def test_decode_batch_steady_state_consistency(self, tiny_profile):
         """B_D * completion fraction must give back B_E."""
         dist = SequenceDistribution.truncated_normal(128, 68, 320)
+        simulator = _simulator(tiny_profile, dist)
         for n_d in (4, 16, 64):
-            b_d = decode_batch_for_encode_batch(32, dist, n_d)
-            assert b_d * expected_completion_fraction(dist, n_d) == pytest.approx(32)
+            b_d = simulator.derived_decode_batch(_rra(32, n_d))
+            fraction, _ = simulator.context.rra_decode(n_d)
+            assert b_d * fraction == pytest.approx(32)
 
-    def test_per_iteration_batches_decay_monotonically(self):
+    def test_per_iteration_batches_decay_monotonically(self, tiny_profile):
         dist = SequenceDistribution.truncated_normal(32, 13, 80)
-        batches = expected_decode_batch_per_iteration(100, dist, 16)
+        _, alive = _simulator(tiny_profile, dist).context.rra_decode(16)
+        batches = 100 * alive
         assert batches[0] == pytest.approx(100)
         assert all(a >= b - 1e-9 for a, b in zip(batches, batches[1:]))
         assert np.all(batches >= 0)
@@ -187,14 +205,15 @@ class TestCompletionProbability:
 
     @given(dist=_distributions(), data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_matches_per_length_loop_exactly(self, dist, data):
+    def test_matches_per_length_loop_exactly(self, tiny_profile, dist, data):
         n_d = data.draw(st.integers(min_value=1, max_value=dist.max_len + 3))
         p_u = completion_probability(dist, n_d)
         want = reference.completion_probability(dist, n_d)
         assert p_u.tolist() == want.tolist()
         alive = surviving_fraction(p_u)
         assert alive.tolist() == reference.surviving_fraction(want).tolist()
-        assert expected_decode_batch_per_iteration(3.0, dist, n_d).tolist() == (
+        _, estimated = _simulator(tiny_profile, dist).context.rra_decode(n_d)
+        assert (3.0 * estimated).tolist() == (
             3.0 * reference.surviving_fraction(want)
         ).tolist()
 
@@ -212,9 +231,9 @@ class TestCompletionProbability:
         nd=st.integers(min_value=1, max_value=64),
     )
     @settings(max_examples=40, deadline=None)
-    def test_completion_fraction_bounded(self, mean, nd):
+    def test_completion_fraction_bounded(self, tiny_profile, mean, nd):
         dist = SequenceDistribution.truncated_normal(mean, mean / 3, 2 * mean + 10)
-        fraction = expected_completion_fraction(dist, nd)
+        fraction, _ = _simulator(tiny_profile, dist).context.rra_decode(nd)
         assert 0 < fraction <= 1.0 + 1e-9
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import LatencyConstraint, SchedulePolicy, TensorParallelConfig
 from repro.core.simulator import ConfigColumns
 from reference.scheduler import two_call_branch_and_bound
+from reference.simulator import estimate as scalar_estimate
 from repro.core.scheduler import (
     PerfPoint,
     SearchSpace,
@@ -112,8 +113,9 @@ class TestBranchAndBound:
 def _scalar_point(simulator, space, constraint, key) -> PerfPoint:
     """The scalar oracle of one cached point."""
     try:
-        estimate = simulator.estimate(
-            space.config_at(*key), target_length=constraint.target_length
+        estimate = scalar_estimate(
+            simulator, space.config_at(*key),
+            target_length=constraint.target_length,
         )
     except (ValueError, KeyError):
         return PerfPoint(float("inf"), 0.0, False)
@@ -129,8 +131,8 @@ def _assert_cache_matches_scalar(simulator, evaluator) -> None:
             simulator, evaluator.space, evaluator.constraint, key
         ), key
     if evaluator.best is not None:
-        assert evaluator.best == simulator.estimate(
-            evaluator.best.config,
+        assert evaluator.best == scalar_estimate(
+            simulator, evaluator.best.config,
             target_length=evaluator.constraint.target_length,
         )
 
@@ -150,7 +152,7 @@ class _CallCounter:
 
 
 class TestBatchedEvaluator:
-    """Every evaluated point equals its scalar ``estimate()`` under ``==``."""
+    """Every evaluated point equals its scalar oracle estimate under ``==``."""
 
     @pytest.mark.parametrize("bound_s", [0.05, 2.0, float("inf")])
     def test_exhaustive_points_equal_scalar_estimates(

@@ -1,12 +1,14 @@
-"""Vectorized-vs-scalar parity tests for the batched estimation engine.
+"""Parity tests of the estimator against the scalar cost-model oracle.
 
-``XSimulator.estimate_batch`` must equal per-point ``estimate`` under
-``==`` on every field -- throughput, latency, cycle time, decode batch,
-feasibility and the per-stage memory breakdown -- across policies,
-partial-TP settings and sequence-length distributions, whatever else is
-in the call, whether the points come as configurations or as coordinate
-columns.  That contract is what lets the scheduler price any mix of
-subspaces in one call without changing a single search decision.
+``XSimulator.estimate_batch`` must equal the scalar oracle of
+``tests/reference/simulator.py`` (imported here as ``scalar_estimate``)
+point by point under ``==`` on every field -- throughput, latency, cycle
+time, decode batch, feasibility and the per-stage memory breakdown --
+across policies, partial-TP settings and sequence-length distributions,
+whatever else is in the call, whether the points come as configurations
+or as coordinate columns.  That contract is what lets the scheduler price
+any mix of subspaces in one call without changing a single search
+decision.
 
 The hypothesis suites' example counts follow the loaded profile
 (``tests/conftest.py``): the counts below are the default profile's.
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.simulator import estimate as scalar_estimate
 from repro.core.analytical import StageMemorySequence
 from repro.core.config import ScheduleConfig, SchedulePolicy, TensorParallelConfig
 from repro.core.distributions import SequenceDistribution
@@ -31,6 +34,7 @@ from repro.core.simulator import (
     _AXIS_TABLE_LIMIT,
     ConfigColumns,
     ConfigGroup,
+    EstimateContext,
     ScheduleEstimate,
     XSimulator,
 )
@@ -52,7 +56,7 @@ def _examples(count: int) -> int:
 
 
 def assert_estimates_match(scalar, batched) -> None:
-    """Batched estimate must equal the scalar reference on every field."""
+    """Batched estimate must equal the scalar oracle on every field."""
     assert batched is not None
     for field in _FIELDS:
         assert getattr(batched, field) == getattr(scalar, field), field
@@ -85,13 +89,13 @@ class TestBatchParity:
         configs = _rra_configs()
         batched = tiny_simulator.estimate_batch(configs)
         for config, b in zip(configs, batched):
-            assert_estimates_match(tiny_simulator.estimate(config), b)
+            assert_estimates_match(scalar_estimate(tiny_simulator, config), b)
 
     def test_waa_grid(self, tiny_simulator):
         configs = _waa_configs()
         batched = tiny_simulator.estimate_batch(configs)
         for config, b in zip(configs, batched):
-            assert_estimates_match(tiny_simulator.estimate(config), b)
+            assert_estimates_match(scalar_estimate(tiny_simulator, config), b)
 
     def test_mixed_policies_preserve_order(self, tiny_simulator):
         configs = _rra_configs() + _waa_configs()
@@ -99,7 +103,7 @@ class TestBatchParity:
         batched = tiny_simulator.estimate_batch(configs)
         for config, b in zip(configs, batched):
             assert b.config == config
-            assert_estimates_match(tiny_simulator.estimate(config), b)
+            assert_estimates_match(scalar_estimate(tiny_simulator, config), b)
 
     def test_partial_tensor_parallel(self, tiny_simulator):
         tp_options = [
@@ -125,7 +129,7 @@ class TestBatchParity:
                 )
         batched = tiny_simulator.estimate_batch(configs, strict=False)
         for config, b in zip(configs, batched):
-            assert_estimates_match(tiny_simulator.estimate(config), b)
+            assert_estimates_match(scalar_estimate(tiny_simulator, config), b)
 
     def test_decode_batch_override(self, tiny_simulator):
         configs = [
@@ -139,21 +143,21 @@ class TestBatchParity:
         ]
         batched = tiny_simulator.estimate_batch(configs)
         for config, b in zip(configs, batched):
-            assert_estimates_match(tiny_simulator.estimate(config), b)
+            assert_estimates_match(scalar_estimate(tiny_simulator, config), b)
 
     def test_explicit_target_length(self, tiny_simulator):
         configs = _rra_configs()[:6]
         batched = tiny_simulator.estimate_batch(configs, target_length=17)
         for config, b in zip(configs, batched):
             assert_estimates_match(
-                tiny_simulator.estimate(config, target_length=17), b
+                scalar_estimate(tiny_simulator, config, target_length=17), b
             )
 
     def test_encoder_decoder_model(self, tiny_encdec_simulator):
         configs = _rra_configs()[:8] + _waa_configs()[:8]
         batched = tiny_encdec_simulator.estimate_batch(configs)
         for config, b in zip(configs, batched):
-            assert_estimates_match(tiny_encdec_simulator.estimate(config), b)
+            assert_estimates_match(scalar_estimate(tiny_encdec_simulator, config), b)
 
     def test_infeasible_points_flagged_identically(self, tiny_simulator):
         configs = [
@@ -169,7 +173,22 @@ class TestBatchParity:
         assert batched[0].memory_feasible is False
         assert batched[1].memory_feasible is True
         for config, b in zip(configs, batched):
-            assert_estimates_match(tiny_simulator.estimate(config), b)
+            assert_estimates_match(scalar_estimate(tiny_simulator, config), b)
+
+    @pytest.mark.parametrize("policy", list(SchedulePolicy))
+    def test_estimate_is_the_one_point_batch(self, tiny_simulator, policy):
+        second = (
+            {"decode_iterations": 6}
+            if policy is SchedulePolicy.RRA
+            else {"micro_batches": 2}
+        )
+        config = ScheduleConfig(policy, encode_batch=5, **second)
+        (batched,) = tiny_simulator.estimate_batch([config], target_length=13)
+        estimate = tiny_simulator.estimate(config, target_length=13)
+        assert estimate == batched
+        assert_estimates_match(
+            scalar_estimate(tiny_simulator, config, target_length=13), estimate
+        )
 
     def test_strict_mode_raises_like_scalar(self, tiny_simulator):
         # WAA on a fully tensor-parallel cluster has a single pipeline stage,
@@ -179,6 +198,8 @@ class TestBatchParity:
             encode_batch=2,
             tensor_parallel=TensorParallelConfig(degree=4, num_gpus=4),
         )
+        with pytest.raises(ValueError):
+            scalar_estimate(tiny_simulator, bad)
         with pytest.raises(ValueError):
             tiny_simulator.estimate(bad)
         with pytest.raises(ValueError):
@@ -284,7 +305,7 @@ def _columns(
 
 def _scalar_or_none(simulator: XSimulator, config: ScheduleConfig):
     try:
-        return simulator.estimate(config)
+        return scalar_estimate(simulator, config)
     except (ValueError, KeyError):
         return None
 
@@ -347,7 +368,7 @@ class TestBatchIndependence:
         assert len(deep_simulator.build_placement(configs[0]).decode_stages) >= 8
         for config in configs:
             (batched,) = deep_simulator.estimate_batch([config])
-            assert_estimates_match(deep_simulator.estimate(config), batched)
+            assert_estimates_match(scalar_estimate(deep_simulator, config), batched)
 
     def test_chunked_passes_equal_one_pass(self, tiny_simulator, monkeypatch):
         import repro.core.simulator as simulator_module
@@ -383,7 +404,7 @@ class TestAxisTables:
             finally:
                 tracemalloc.stop()
 
-        scalar, scalar_peak = traced(lambda sim: sim.estimate(config))
+        scalar, scalar_peak = traced(lambda sim: scalar_estimate(sim, config))
         (batched,), batched_peak = traced(lambda sim: sim.estimate_batch([config]))
         assert_estimates_match(scalar, batched)
         # One 4,096-entry row, not a 4,096 x 4,096 table (134 MB), and one
@@ -400,7 +421,7 @@ class TestAxisTables:
                 SchedulePolicy.RRA, encode_batch=n, decode_iterations=n
             )
             (batched,) = simulator.estimate_batch([config])
-            assert batched == simulator.estimate(config)
+            assert batched == scalar_estimate(simulator, config)
             assert len(context._rra_encode_tables) <= _AXIS_TABLE_LIMIT
             assert len(context._rra_decode_tables) <= _AXIS_TABLE_LIMIT
 
@@ -428,12 +449,52 @@ class TestFaultIsolation:
             if i in bad:
                 assert result is None
             else:
-                assert_estimates_match(tiny_simulator.estimate(config), result)
+                assert_estimates_match(scalar_estimate(tiny_simulator, config), result)
 
     def test_strict_mode_raises(self, tiny_simulator):
         configs, _ = self._mixed_configs()
         with pytest.raises(KeyError):
             tiny_simulator.estimate_batch(configs, strict=True)
+
+    def test_a_failing_point_fails_alone(
+        self, tiny_profile, short_input_dist, short_output_dist, monkeypatch
+    ):
+        """A point that cannot be priced fails its whole group's pass; the
+        group's other points are then priced one at a time, each on axes
+        of its own values, and only the failing point stays unpriced."""
+        configs = [
+            ScheduleConfig(SchedulePolicy.RRA, encode_batch=be, decode_iterations=nd)
+            for be in (2, 5)
+            for nd in (3, 7, 9)
+        ]
+        reference = XSimulator(tiny_profile, short_input_dist, short_output_dist)
+        expected = [scalar_estimate(reference, config) for config in configs]
+        rra_decode = EstimateContext.rra_decode
+
+        def failing_at_seven(context, num_decode_iterations):
+            if num_decode_iterations == 7:
+                raise ValueError("N_D 7 cannot be priced")
+            return rra_decode(context, num_decode_iterations)
+
+        monkeypatch.setattr(EstimateContext, "rra_decode", failing_at_seven)
+        simulator = XSimulator(tiny_profile, short_input_dist, short_output_dist)
+        listed = simulator.estimate_batch(configs, strict=False)
+        columns, points = _columns(configs)
+        priced = simulator.estimate_batch(columns, strict=False)
+        for config, want, got in zip(configs, expected, listed):
+            if config.decode_iterations == 7:
+                assert got is None
+            else:
+                assert_estimates_match(want, got)
+        for k, config in enumerate(points):
+            boxed = priced.estimate(k, config)
+            if config.decode_iterations == 7:
+                assert boxed is None
+                assert priced.latency_s[k] == np.inf and not priced.feasible[k]
+            else:
+                assert_estimates_match(expected[configs.index(config)], boxed)
+        with pytest.raises(ValueError, match="N_D 7"):
+            simulator.estimate_batch(configs)
 
 
 class TestBatchParityHypothesis:
@@ -469,7 +530,7 @@ class TestBatchParityHypothesis:
                 tensor_parallel=tp,
             )
         (batched,) = tiny_simulator.estimate_batch([config])
-        assert_estimates_match(tiny_simulator.estimate(config), batched)
+        assert_estimates_match(scalar_estimate(tiny_simulator, config), batched)
 
     @given(
         mean_in=st.floats(min_value=4, max_value=80),
@@ -504,16 +565,17 @@ class TestBatchParityHypothesis:
                 )
         batched = simulator.estimate_batch(configs)
         for config, b in zip(configs, batched):
-            assert_estimates_match(simulator.estimate(config), b)
+            assert_estimates_match(scalar_estimate(simulator, config), b)
 
 
 class TestLazyStageMemory:
-    """Batched estimates carry a lazy sequence that acts as the scalar tuple."""
+    """Batched estimates carry a lazy sequence that acts as the oracle's
+    tuple."""
 
     def _pairs(self, simulator):
         configs = _rra_configs()[::5] + _waa_configs()[::5]
         return [
-            (simulator.estimate(config), batched)
+            (scalar_estimate(simulator, config), batched)
             for config, batched in zip(configs, simulator.estimate_batch(configs))
         ]
 

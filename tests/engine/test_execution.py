@@ -23,25 +23,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.simulator import decode_stage_time, encode_stage_time
 from repro.baselines.vllm import Vllm
 from repro.core.config import ScheduleConfig, SchedulePolicy
 from repro.core.profiler import XProfiler
 from repro.engine.batching import split_ids
 from repro.engine.execution import (
-    DECODE,
-    ENCODE,
     KIND_DECODE,
     KIND_ENCODE,
     SMALL_PLAN_ITEMS,
     ExecutionEngine,
     PlanColumns,
-    StageWork,
     _event_columns,
     _price_positions_batched,
     _price_positions_scalar,
     price_columns,
     price_item,
-    price_work,
 )
 from repro.engine.pool import RequestPool
 from repro.engine.timeline import Timeline
@@ -218,14 +215,12 @@ class TestPricingParity:
     ):
         """The engine's pricing is the analytical cost model, bit for bit.
 
-        ``price_work`` must never drift from
-        :func:`repro.core.analytical.encode_stage_time` /
-        :func:`~repro.core.analytical.decode_stage_time` -- that shared
-        formula is exactly what makes the simulator's estimates and the
-        engine's replays one cost model.
+        ``price_item`` and ``price_columns`` must never drift from the
+        stage times of the scalar cost-model oracle
+        (``tests/reference/simulator.py``) -- that shared formula is
+        exactly what makes the simulator's estimates and the engine's
+        replays one cost model.
         """
-        from repro.core.analytical import decode_stage_time, encode_stage_time
-
         config = ScheduleConfig(SchedulePolicy.RRA, encode_batch=4)
         placement = tiny_simulator.build_placement(config)
         profile = tiny_simulator.profile
@@ -233,22 +228,23 @@ class TestPricingParity:
         expected = []
         for stage in placement.stages:
             spans = placement.stage_spans_nodes(stage)
-            work.append(
-                StageWork(ENCODE, stage.encoder_layers, stage.tp_degree,
-                          spans, batch, length)
-            )
+            work.append((KIND_ENCODE, stage.encoder_layers, stage.tp_degree, spans))
             base = encode_stage_time(profile, placement, stage, batch, length)
             expected.append(base + (overhead if base > 0 else 0.0))
-            work.append(
-                StageWork(DECODE, stage.decoder_layers, stage.tp_degree,
-                          spans, batch, length)
-            )
+            work.append((KIND_DECODE, stage.decoder_layers, stage.tp_degree, spans))
             base = decode_stage_time(profile, placement, stage, batch, length)
             expected.append(base + (overhead if base > 0 else 0.0))
+        items = [
+            price_item(profile, *item, batch, length, overhead) for item in work
+        ]
+        assert items == expected
         # As built the plan is small and takes the scalar pricer; copies
         # past SMALL_PLAN_ITEMS take the vectorized one.
         for copies in (1, -(-SMALL_PLAN_ITEMS // len(work))):
-            priced = price_work(profile, work * copies, overhead)
+            cols = PlanColumns()
+            for item in work * copies:
+                cols.push(*item, batch, length)
+            priced = price_columns(profile, cols, overhead)
             assert priced.tolist() == expected * copies
 
     @given(data=st.data(), overhead=st.sampled_from([0.0, 0.0015]))
@@ -318,12 +314,6 @@ class TestPricingParity:
         assert price_columns(tiny_profile, cols, overhead).tolist() == items
         assert scalar.tolist() == batched.tolist() == items
 
-    @pytest.mark.parametrize("kind", ["prefill", "Encode", ""])
-    def test_price_work_rejects_unknown_kind(self, tiny_profile, kind):
-        item = StageWork(kind, 4, 1, False, 8.0, 100.0)
-        with pytest.raises(ValueError, match="'encode' or 'decode'"):
-            price_work(tiny_profile, [item])
-
     def test_mixed_iteration_duration_sums_components(self, tiny_simulator):
         """A mixed iteration's stage duration is the ordered component sum."""
         config = ScheduleConfig(SchedulePolicy.RRA, encode_batch=4)
@@ -341,28 +331,20 @@ class TestPricingParity:
         outcome = engine.mixed_iteration(plan, placement.stages, alive, admitted)
         engine.commit(plan)
         task = timeline.tasks[0]
-        items = [
-            StageWork(
-                DECODE,
-                placement.stages[0].decoder_layers,
-                placement.stages[0].tp_degree,
-                placement.stage_spans_nodes(placement.stages[0]),
-                2,
-                pool.average_context(alive, True)
-                # context advanced by mixed_iteration itself:
-                - 1.0,
-            ),
-            StageWork(
-                ENCODE,
-                placement.stages[0].encoder_layers,
-                placement.stages[0].tp_degree,
-                placement.stage_spans_nodes(placement.stages[0]),
-                1.0,
-                pool.input_len_of(int(admitted[0])),
-            ),
-        ]
-        expected = price_work(tiny_simulator.profile, items, 0.001)
-        assert task.duration_s == pytest.approx(float(expected.sum()), rel=1e-12)
+        stage = placement.stages[0]
+        spans = placement.stage_spans_nodes(stage)
+        expected = price_item(
+            tiny_simulator.profile, KIND_DECODE, stage.decoder_layers,
+            stage.tp_degree, spans, 2.0,
+            # context advanced by mixed_iteration itself:
+            pool.average_context(alive, True) - 1.0,
+            0.001,
+        ) + price_item(
+            tiny_simulator.profile, KIND_ENCODE, stage.encoder_layers,
+            stage.tp_degree, spans, 1.0,
+            float(pool.input_len_of(int(admitted[0]))), 0.001,
+        )
+        assert task.duration_s == pytest.approx(expected, rel=1e-12)
         assert outcome.completed.size == 0
 
 

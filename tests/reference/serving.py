@@ -11,7 +11,8 @@ instead -- every cycle builds one
 ``decode_iteration``) and commits it -- so
 ``tests/serving/test_plan_templates.py`` can hold the fast paths to them
 under ``==``.  WAA needs no oracle here: its production cycle
-(``ExecutionEngine.waa_cycle``) already plans each iteration.
+(``ExecutionEngine.waa_cycle``) already plans each iteration, and its
+online serves are pinned to ``tests/serving/golden/waa_online.json``.
 
 :class:`SteppedServingLoop` is the historical per-event serving loop, the
 oracle of the production loop's window batching; :func:`stepped_core`

@@ -5,16 +5,28 @@ plan-free templates ``mixed_decode_template`` and ``decode_run`` -- which
 must be *invisible* in the results: every record a server produces must be
 bit-identical to the plan-per-cycle oracle servers of
 ``tests/reference/serving.py``.  These tests pin that contract for every
-server family (continuous batching over Orca and vLLM, ExeGPT RRA; ExeGPT
-WAA's production cycle already plans each iteration, so its case serves
-the same cycle body on both sides),
-that every continuous-batching cycle, admitting or not, takes the template,
-that a ``clone`` replica serves like its original, plus the bisection
-refinement of ``OnlineEvaluator.max_sustainable_qps`` against its
-ladder-only reference.
+server family that has such an oracle (continuous batching over Orca and
+vLLM, ExeGPT RRA).  ExeGPT WAA's production cycle already plans each
+iteration, so it has no plan-loop twin: its online serves are pinned to a
+golden file instead (``golden/waa_online.json``), as the offline replays
+are pinned to ``tests/core/golden/``.  Also covered: every
+continuous-batching cycle, admitting or not, takes the template, a
+``clone`` replica serves like its original, and the bisection refinement
+of ``OnlineEvaluator.max_sustainable_qps`` matches its ladder-only
+reference.
+
+Regenerating the WAA golden file (only when an *intentional* semantic
+change lands)::
+
+    PYTHONPATH=src:tests python tests/serving/test_plan_templates.py --regenerate
 """
 
 from __future__ import annotations
+
+import dataclasses
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,25 +34,39 @@ from reference.serving import PlanLoopContinuousBatchingServer, PlanLoopExeGPTSe
 from repro.baselines.orca import Orca
 from repro.baselines.vllm import Vllm
 from repro.core.config import ScheduleConfig, SchedulePolicy
+from repro.core.distributions import SequenceDistribution
 from repro.core.profiler import XProfiler
+from repro.core.simulator import XSimulator
 from repro.engine.execution import ExecutionEngine
 from repro.hardware.cluster import a40_cluster
+from repro.models.spec import Architecture, ModelSpec
 from repro.serving.online import (
     ContinuousBatchingOnlineServer,
     ExeGPTOnlineServer,
     OnlineEvaluator,
+    OnlineRequestRecord,
 )
 from repro.serving.sla import SLA, SLAKind
 from repro.workloads.arrivals import PoissonProcess, attach_arrivals
 from repro.workloads.synthetic import generate_trace_from_distributions
 
 
+GOLDEN_WAA = Path(__file__).parent / "golden" / "waa_online.json"
+WAA_CONFIG = ScheduleConfig(
+    policy=SchedulePolicy.WAA_C, encode_batch=8, micro_batches=2
+)
+WAA_RATES = (10.0, 120.0)
+
+
+def make_parity_trace(input_dist, output_dist):
+    return generate_trace_from_distributions(
+        input_dist, output_dist, num_requests=96, seed=17, name="templates"
+    )
+
+
 @pytest.fixture(scope="module")
 def parity_trace(short_input_dist, short_output_dist):
-    return generate_trace_from_distributions(
-        short_input_dist, short_output_dist, num_requests=96, seed=17,
-        name="templates",
-    )
+    return make_parity_trace(short_input_dist, short_output_dist)
 
 
 def assert_identical(result, reference):
@@ -182,11 +208,8 @@ class TestExeGPTTemplateParity:
             ScheduleConfig(
                 policy=SchedulePolicy.RRA, encode_batch=16, decode_iterations=12
             ),
-            ScheduleConfig(
-                policy=SchedulePolicy.WAA_C, encode_batch=8, micro_batches=2
-            ),
         ],
-        ids=["rra-short", "rra-long", "waa"],
+        ids=["rra-short", "rra-long"],
     )
     @pytest.mark.parametrize("rate", [10.0, 120.0])
     def test_matches_plan_loop_oracle(
@@ -200,6 +223,12 @@ class TestExeGPTTemplateParity:
             for server_cls in (ExeGPTOnlineServer, PlanLoopExeGPTServer)
         ]
         assert_identical(*results)
+
+    @pytest.mark.parametrize("rate", WAA_RATES)
+    def test_waa_matches_golden_serve(self, tiny_simulator, parity_trace, rate):
+        """Online WAA-C serves reproduce their pinned records exactly."""
+        expected = json.loads(GOLDEN_WAA.read_text())[repr(rate)]
+        assert waa_serve_to_jsonable(tiny_simulator, parity_trace, rate) == expected
 
     def test_clone_serves_bit_identically(self, tiny_simulator, parity_trace):
         """A fleet replica built by ``clone`` is configured and serves
@@ -222,6 +251,63 @@ class TestExeGPTTemplateParity:
             clone.serve(online, scenario="steady", offered_rate_qps=120.0),
             server.serve(online, scenario="steady", offered_rate_qps=120.0),
         )
+
+
+def waa_serve_to_jsonable(simulator, trace, rate: float) -> dict:
+    """Exact JSON form of one online WAA-C serve: every record field as a
+    column, the counts, the makespan and the driver's extras (JSON
+    round-trips ``float`` through ``repr``, so ``==`` is bit-level)."""
+    online = attach_arrivals(trace, PoissonProcess(rate), seed=13)
+    result = ExeGPTOnlineServer(simulator, WAA_CONFIG).serve(
+        online, scenario="steady", offered_rate_qps=rate
+    )
+    assert result.completed > 0
+    return {
+        "records": {
+            field.name: [getattr(record, field.name) for record in result.records]
+            for field in dataclasses.fields(OnlineRequestRecord)
+        },
+        "completed": result.completed,
+        "rejected": result.rejected,
+        "makespan_s": result.makespan_s,
+        "extra": dict(result.extra),
+    }
+
+
+def regenerate_waa_golden() -> None:
+    """Rewrite ``GOLDEN_WAA`` from the current code.
+
+    Builds the conftest's ``tiny_simulator`` world (the tiny decoder-only
+    model on four A40s, the short length distributions) and this module's
+    parity trace.
+    """
+    model = ModelSpec(
+        name="Tiny-GPT",
+        architecture=Architecture.DECODER_ONLY,
+        num_layers=8,
+        hidden_size=512,
+        num_heads=8,
+        vocab_size=8192,
+    )
+    profile = XProfiler(
+        model, a40_cluster(4), max_batch=128, max_seq_len=512,
+        batch_points=10, length_points=10,
+    ).profile()
+    input_dist = SequenceDistribution.truncated_normal(
+        mean=48, std=16, max_len=96, name="in"
+    )
+    output_dist = SequenceDistribution.truncated_normal(
+        mean=16, std=6, max_len=40, name="out"
+    )
+    simulator = XSimulator(profile, input_dist, output_dist)
+    trace = make_parity_trace(input_dist, output_dist)
+    payload = {
+        repr(rate): waa_serve_to_jsonable(simulator, trace, rate)
+        for rate in WAA_RATES
+    }
+    GOLDEN_WAA.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN_WAA.write_text(json.dumps(payload, indent=1) + "\n")
+    print(f"wrote {GOLDEN_WAA}")
 
 
 class TestBisectionRefinement:
@@ -274,3 +360,10 @@ class TestBisectionRefinement:
             "orca", "steady", (1e6,), refine_steps=3
         )
         assert hopeless == 0.0
+
+
+if __name__ == "__main__":
+    if "--regenerate" in sys.argv:
+        regenerate_waa_golden()
+    else:
+        print(__doc__)
