@@ -1,43 +1,52 @@
-"""Perf-regression harness for the cost-model/search/runner hot paths.
+"""Perf harness: the series the ``perfbench/`` benchmark lacks.
 
-Times the hot paths of the scheduling stack -- per-point estimation,
-schedule search (branch-and-bound and exhaustive), trace replay through the
-execution engine, the online rate sweep, fleets, the serving loop, fault
-injection, campaigns and cycle pricing -- and writes the measurements to
-``BENCH_search.json`` at the repository root.  The file is machine-readable
-and append-only: every harness run adds one record to the ``trajectory``
-list, so successive PRs are held to the recorded numbers.
+``perfbench/`` (its workloads are declared in ``BENCHMARK.json``) measures
+serving fleets and the per-query schedule search end to end and layer by
+layer.  This harness times what none of its workloads runs, one series
+each, listed in :data:`SERIES`:
 
-Three kinds of numbers are reported:
+* ``estimate`` -- per-point cost of the batched estimator against the
+  scalar cost-model oracle (``tests/reference/simulator.py``), which it
+  must equal exactly;
+* ``search`` -- the paper's search-cost comparison (Section 7.7):
+  branch-and-bound against the exhaustive grid of GPT-3 39B on 8 A40
+  GPUs (65,536 points);
+* ``replay`` and ``replay_pool`` -- offline ``XRunner`` replays of a
+  pipeline-parallel RRA schedule and of a paper-scale one whose standing
+  decode pool holds hundreds of requests;
+* ``sweep_1m`` -- a million-request, 16-replica ExeGPT fleet serve, and
+  the bytes per request that serve allocates;
+* ``fleet_capacity`` -- the highest rate one replica and a 4-replica JSQ
+  fleet sustain under a p99 SLO;
+* ``campaign_fanout`` -- a 27-cell campaign serially, fanned out,
+  resumed after losing a third of its traces, and warm-loaded;
+* ``pricing_crossover`` -- the scalar/batched plan-pricing crossover
+  behind :data:`repro.engine.execution.SMALL_PLAN_ITEMS`.
 
-* **Absolute wall times** of the production path, in seconds and
-  microseconds per request (``replay``, ``online_sweep``, ``replay_pool``,
-  ``cycle_pricing``).  Their tests check only that every request
-  completed within a generous wall bound; the trajectory tracks the times.
-* **Same-run speedups** (machine-independent): a vectorized or batched path
-  against a reference path measured in the same process -- scalar vs
-  batched estimation (and the exhaustive grid against its scalar
-  extrapolation), the stepped vs event serving loop, the per-id vs
-  window chaos path.  The references are the test oracles of
-  ``tests/reference/`` (the scalar cost model, the stepped loop, the
-  per-id router and policies).
-  These back the ``ratio`` assertions in ``test_perf_search.py``.
-  Branch-and-bound records its wall time, its evaluations, and the
-  estimate calls and points it priced.
-* **The pre-PR baseline**: wall times of the original scalar-only
-  implementation, recorded once when the vectorized engine landed, kept for
-  context in the JSON.
+Each series is a function of a :class:`Clock` that returns a flat dict.
+A wall time ``<field>`` is the raw measurement and ``<field>_scaled`` the
+same time at perfbench's reference host speed (its ``HostGauge``), so
+records taken under different host load compare; a ``speedup`` is a ratio
+of scaled times.  The crossover's times stay raw: its two pricers run back
+to back at each plan size.
+
+``python benchmarks/perf/harness.py`` -- and the perf tests with
+``BENCH_RECORD=1`` -- also run every perfbench workload at seed 0 with
+``--trace 0`` and ``--trace 1``, append one record to
+``BENCH_search.json`` (older records stay as history) and render the
+latest record into README.md's Performance section.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
+import importlib.util
 import json
-import platform
 import subprocess
 import sys
 import time
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -49,42 +58,75 @@ from repro.core.config import (
     TensorParallelConfig,
 )
 from repro.core.exegpt import ExeGPT
-from repro.core.scheduler import XScheduler
-from repro.serving.fleet import RoutingPolicy
 from repro.workloads.tasks import get_task
 from repro.workloads.synthetic import generate_task_trace
 
-BENCH_PATH = Path(__file__).resolve().parents[2] / "BENCH_search.json"
+ROOT = Path(__file__).resolve().parents[2]
+BENCH_PATH = ROOT / "BENCH_search.json"
+README_PATH = ROOT / "README.md"
+README_BEGIN = "<!-- begin: rendered by benchmarks/perf/harness.py -->"
+README_END = "<!-- end: rendered by benchmarks/perf/harness.py -->"
 
-# The estimate, search and serving series time production against the
-# test oracles.
-_TESTS_DIR = str(Path(__file__).resolve().parents[2] / "tests")
+# The estimate series times the scalar cost-model oracle of tests/reference/.
+_TESTS_DIR = str(ROOT / "tests")
 if _TESTS_DIR not in sys.path:
     sys.path.insert(0, _TESTS_DIR)
 
-# The paper-scale search space the acceptance numbers refer to: GPT-3 39B on
-# 8 A40 GPUs, B_E in 1..128 -- 65,536 candidate points across all
-# (policy, TP) subspaces.
+# The paper-scale search space: GPT-3 39B on 8 A40 GPUs, B_E in 1..128 --
+# 65,536 candidate points across all (policy, TP) subspaces.
 SEARCH_MODEL = "GPT3-39B"
 SEARCH_GPUS = 8
 SEARCH_TASK = "S"
 SEARCH_BOUND_S = 20.0
 SEARCH_MAX_ENCODE_BATCH = 128
 
-# Wall times of the scalar-only implementation this harness replaced,
-# measured on the machine that produced the first trajectory record (see
-# ``host``).  The exhaustive figure is extrapolated from the measured
-# 2.64 ms/point over the full 65,536-point space.
-PRE_PR_BASELINE = {
-    "estimate_ms": 10.16,
-    "branch_and_bound_s": 8.23,
-    "exhaustive_s_extrapolated": 173.0,
-    "space_points": 65536,
-}
+# The replays run pipeline-parallel RRA schedules (4 stages on the 4-GPU
+# OPT-13B deployment), so each cycle carries stages x micro-batches work
+# items.  B_E at the search space's maximum (128) gives the pool replay a
+# standing decode pool of several hundred requests.
+REPLAY_CONFIG = ScheduleConfig(
+    policy=SchedulePolicy.RRA, encode_batch=16, decode_iterations=8
+)
+POOL_REPLAY_CONFIG = ScheduleConfig(
+    policy=SchedulePolicy.RRA, encode_batch=128, decode_iterations=8
+)
+
+
+@functools.cache
+def _perfbench():
+    """``perfbench/run.py``, loaded by path: ``perfbench`` is not a
+    package, and ``run.py`` imports its sibling ``tracer``."""
+    directory = ROOT / "perfbench"
+    if str(directory) not in sys.path:
+        sys.path.insert(0, str(directory))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", directory / "run.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class Clock:
+    """Times ops the way perfbench does: host-gauge readings around each
+    op scale its wall time to the reference host speed."""
+
+    def __init__(self) -> None:
+        self.gauge = _perfbench().HostGauge()
+
+    def time(self, fn, *args, **kwargs):
+        """Run ``fn`` once; returns ``(raw_s, scaled_s, result)``."""
+        _perfbench().fresh_gc()
+        mark = self.gauge.sample()
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        raw = time.perf_counter() - start
+        self.gauge.sample()
+        return raw, self.gauge.scaled(raw, mark), result
 
 
 def build_search_engine() -> ExeGPT:
-    """The engine whose search space the acceptance numbers refer to."""
+    """The engine whose search space the search numbers refer to."""
     return ExeGPT.for_task(
         SEARCH_MODEL,
         SEARCH_TASK,
@@ -93,67 +135,30 @@ def build_search_engine() -> ExeGPT:
     )
 
 
-def search_constraint() -> LatencyConstraint:
-    """The latency bound used by all search benchmarks."""
-    return LatencyConstraint(
-        bound_s=SEARCH_BOUND_S, target_length=get_task(SEARCH_TASK).output_p99
-    )
-
-
-def _sample_configs(
-    scheduler: XScheduler, points_per_space: int, seed: int = 0
-) -> list[ScheduleConfig]:
-    """Uniformly sampled configurations across every search subspace."""
-    rng = np.random.default_rng(seed)
-    configs: list[ScheduleConfig] = []
-    for space in scheduler.search_spaces():
-        (x1_lo, x1_hi), (x2_lo, x2_hi) = space.bounds
-        for _ in range(points_per_space):
-            x1 = int(rng.integers(x1_lo, x1_hi + 1))
-            x2 = int(rng.integers(x2_lo, x2_hi + 1))
-            configs.append(space.config_at(x1, x2))
-    return configs
-
-
-@dataclass
-class EstimateBench:
-    """Per-point estimation cost, scalar versus batched.
-
-    Attributes:
-        scalar_ms_per_point: Wall time per point of the scalar cost model
-            (``tests/reference/simulator.py``), the oracle of the batched
-            estimator.
-        batch_us_per_point: ``estimate_batch()`` wall time per point.
-        speedup: Scalar over batched per-point cost.
-        worst_rel_err: Worst relative disagreement across the sampled
-            points (parity check; must be 0: estimates are exact).
-        points: Sample size.
-    """
-
-    scalar_ms_per_point: float
-    batch_us_per_point: float
-    speedup: float
-    worst_rel_err: float
-    points: int
-
-
-def bench_estimate(engine: ExeGPT, points_per_space: int = 12) -> EstimateBench:
-    """Time the scalar oracle vs batched estimation over a sample of the
-    search space."""
+def bench_estimate(clock: Clock, points_per_space: int = 12) -> dict:
+    """The scalar oracle against the batched estimator over a uniform
+    sample of every search subspace."""
     from reference.simulator import estimate as scalar_estimate
 
+    engine = build_search_engine()
     simulator = engine.simulator
-    configs = _sample_configs(engine.scheduler(), points_per_space)
+    rng = np.random.default_rng(0)
+    configs = []
+    for space in engine.scheduler().search_spaces():
+        (x1_lo, x1_hi), (x2_lo, x2_hi) = space.bounds
+        for _ in range(points_per_space):
+            configs.append(space.config_at(
+                int(rng.integers(x1_lo, x1_hi + 1)),
+                int(rng.integers(x2_lo, x2_hi + 1)),
+            ))
     target = simulator.output_distribution.percentile(99)
-
-    start = time.perf_counter()
-    scalar = [scalar_estimate(simulator, c, target_length=target) for c in configs]
-    scalar_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batched = simulator.estimate_batch(configs, target_length=target)
-    batch_s = time.perf_counter() - start
-
+    scalar_s, scalar_scaled, scalar = clock.time(
+        lambda: [scalar_estimate(simulator, c, target_length=target)
+                 for c in configs]
+    )
+    batch_s, batch_scaled, batched = clock.time(
+        simulator.estimate_batch, configs, target_length=target
+    )
     worst = 0.0
     for s, b in zip(scalar, batched):
         assert b is not None and b.memory_feasible == s.memory_feasible
@@ -161,52 +166,23 @@ def bench_estimate(engine: ExeGPT, points_per_space: int = 12) -> EstimateBench:
             sv, bv = getattr(s, attr), getattr(b, attr)
             worst = max(worst, abs(sv - bv) / max(abs(sv), 1e-12))
     n = len(configs)
-    return EstimateBench(
-        scalar_ms_per_point=scalar_s / n * 1e3,
-        batch_us_per_point=batch_s / n * 1e6,
-        speedup=scalar_s / batch_s if batch_s > 0 else float("inf"),
-        worst_rel_err=worst,
-        points=n,
+    return {
+        "points": n,
+        "scalar_ms_per_point": scalar_s / n * 1e3,
+        "scalar_ms_per_point_scaled": scalar_scaled / n * 1e3,
+        "batch_us_per_point": batch_s / n * 1e6,
+        "batch_us_per_point_scaled": batch_scaled / n * 1e6,
+        "speedup": scalar_scaled / batch_scaled,
+        "worst_rel_err": worst,
+    }
+
+
+def bench_search(clock: Clock) -> dict:
+    """Branch-and-bound, then the exhaustive grid, on a fresh engine."""
+    scheduler = build_search_engine().scheduler()
+    constraint = LatencyConstraint(
+        bound_s=SEARCH_BOUND_S, target_length=get_task(SEARCH_TASK).output_p99
     )
-
-
-@dataclass
-class SearchBench:
-    """Search cost of the branch-and-bound and exhaustive searches.
-
-    Attributes:
-        space_points: Total candidate points across all subspaces.
-        bnb_batched_s: Branch-and-bound wall time.
-        bnb_evaluations: Points the branch-and-bound search evaluated.
-        bnb_estimate_calls: ``estimate_batch`` calls the branch-and-bound
-            search made (one per lockstep step).
-        bnb_points: Points those calls priced, speculative ones included.
-        exhaustive_batched_s: Exhaustive grid wall time, vectorized.
-        exhaustive_scalar_equiv_s: Scalar-equivalent exhaustive wall time,
-            extrapolated from the scalar oracle's measured per-point cost
-            (``EstimateBench.scalar_ms_per_point``).
-        exhaustive_speedup: Scalar-equivalent over batched exhaustive time.
-        best_throughput_matches: Branch-and-bound found the exhaustive
-            optimum (within 1e-9 relative).
-    """
-
-    space_points: int
-    bnb_batched_s: float
-    bnb_evaluations: int
-    bnb_estimate_calls: int
-    bnb_points: int
-    exhaustive_batched_s: float
-    exhaustive_scalar_equiv_s: float
-    exhaustive_speedup: float
-    best_throughput_matches: bool
-
-
-def bench_search(
-    engine: ExeGPT, scalar_ms_per_point: float
-) -> SearchBench:
-    """Time branch-and-bound and exhaustive search."""
-    constraint = search_constraint()
-    scheduler = engine.scheduler()
     simulator = scheduler.simulator
     priced: list[int] = []
     estimate_batch = simulator.estimate_batch
@@ -217,331 +193,159 @@ def bench_search(
 
     simulator.estimate_batch = counted
     try:
-        start = time.perf_counter()
-        bnb = scheduler.schedule(constraint)
-        bnb_batched_s = time.perf_counter() - start
+        bnb_s, bnb_scaled, bnb = clock.time(scheduler.schedule, constraint)
     finally:
         del simulator.estimate_batch
-
-    start = time.perf_counter()
-    exhaustive = scheduler.schedule(constraint, method="exhaustive")
-    exhaustive_batched_s = time.perf_counter() - start
-
-    exhaustive_scalar_equiv_s = scalar_ms_per_point * 1e-3 * exhaustive.space_size
-    best_matches = (
-        bnb.best is not None
-        and exhaustive.best is not None
-        and abs(bnb.best.throughput_seq_per_s - exhaustive.best.throughput_seq_per_s)
-        <= 1e-9 * exhaustive.best.throughput_seq_per_s
+    grid_s, grid_scaled, grid = clock.time(
+        scheduler.schedule, constraint, method="exhaustive"
     )
-    return SearchBench(
-        space_points=exhaustive.space_size,
-        bnb_batched_s=bnb_batched_s,
-        bnb_evaluations=bnb.evaluations,
-        bnb_estimate_calls=len(priced),
-        bnb_points=sum(priced),
-        exhaustive_batched_s=exhaustive_batched_s,
-        exhaustive_scalar_equiv_s=exhaustive_scalar_equiv_s,
-        exhaustive_speedup=(
-            exhaustive_scalar_equiv_s / exhaustive_batched_s
-            if exhaustive_batched_s > 0
-            else float("inf")
+    return {
+        "space_points": grid.space_size,
+        "bnb_batched_s": bnb_s,
+        "bnb_batched_s_scaled": bnb_scaled,
+        "bnb_evaluations": bnb.evaluations,
+        "bnb_estimate_calls": len(priced),
+        "bnb_points": sum(priced),
+        "exhaustive_batched_s": grid_s,
+        "exhaustive_batched_s_scaled": grid_scaled,
+        "best_throughput_matches": (
+            bnb.best is not None
+            and grid.best is not None
+            and abs(bnb.best.throughput_seq_per_s - grid.best.throughput_seq_per_s)
+            <= 1e-9 * grid.best.throughput_seq_per_s
         ),
-        best_throughput_matches=best_matches,
-    )
+    }
 
 
-@dataclass
-class RunnerBench:
-    """Trace-replay cost of the discrete-event runner.
-
-    Attributes:
-        runner_s: Wall time to replay the trace.
-        requests: Trace length.
-        throughput_seq_per_s: Measured (simulated) serving throughput.
-    """
-
-    runner_s: float
-    requests: int
-    throughput_seq_per_s: float
-
-
-def bench_runner(num_requests: int = 512) -> RunnerBench:
-    """Time an XRunner trace replay under a scheduled config (OPT-13B)."""
-    engine = ExeGPT.for_task("OPT-13B", "S", max_encode_batch=32)
-    task = get_task("S")
-    result = engine.schedule(
-        LatencyConstraint(bound_s=float("inf"), target_length=task.output_p99)
-    )
-    trace = generate_task_trace(task, num_requests=num_requests, seed=0)
-    start = time.perf_counter()
-    run = engine.run(trace, result.best.config)
-    runner_s = time.perf_counter() - start
-    return RunnerBench(
-        runner_s=runner_s,
-        requests=num_requests,
-        throughput_seq_per_s=run.throughput_seq_per_s,
-    )
-
-
-@dataclass
-class ReplayBench:
-    """Trace replay through the execution engine.
-
-    Attributes:
-        wall_s: Best-of-N replay wall time.
-        us_per_request: ``wall_s`` per replayed request, in microseconds.
-        requests: Trace length.
-        completed: Requests the replay completed.
-        policy: Policy of the replayed schedule.
-    """
-
-    wall_s: float
-    us_per_request: float
-    requests: int
-    completed: int
-    policy: str
-
-
-# Replay/online benchmarks run a pipeline-parallel RRA schedule (4 stages on
-# the 4-GPU OPT-13B deployment): with a multi-stage pipeline each cycle
-# carries stages x micro-batches work items, which is the regime the batched
-# pricing targets.  (Single-stage TP-maximized schedules spend their replay
-# time in pool management, not pricing.)
-REPLAY_CONFIG = ScheduleConfig(
-    policy=SchedulePolicy.RRA, encode_batch=16, decode_iterations=8
-)
-
-
-def _time_replays(simulator, config, trace, repetitions: int):
-    """Best-of-``repetitions`` XRunner replay time and the last result."""
+def _replay(
+    clock: Clock,
+    simulator,
+    config: ScheduleConfig,
+    num_requests: int,
+    repetitions: int,
+) -> dict:
+    """Best-of-``repetitions`` XRunner replays of an OPT-13B task S trace."""
     from repro.core.runner import XRunner
 
+    trace = generate_task_trace(get_task("S"), num_requests=num_requests, seed=0)
     # Warm the one-time costs (profile sweep, EstimateContext, placement
-    # memo) outside the timed region.
+    # memo) outside the timed runs; then take the best of several, since
+    # runs of tens of milliseconds are at the mercy of scheduler noise.
     XRunner(simulator, config).run(trace)
-    # Best-of-N: replays are tens of milliseconds, so a single sample is at
-    # the mercy of scheduler/GC noise.
-    best = float("inf")
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        run = XRunner(simulator, config).run(trace)
-        best = min(best, time.perf_counter() - start)
-    return best, run
+    runs = [
+        clock.time(lambda: XRunner(simulator, config).run(trace))
+        for _ in range(repetitions)
+    ]
+    return {
+        "policy": config.policy.value,
+        "requests": num_requests,
+        "completed": runs[-1][2].num_requests,
+        "us_per_request": 1e6 * min(r[0] for r in runs) / num_requests,
+        "us_per_request_scaled": 1e6 * min(r[1] for r in runs) / num_requests,
+    }
 
 
-def bench_replay(num_requests: int = 512, repetitions: int = 3) -> ReplayBench:
-    """Time XRunner replays of a pipeline-parallel RRA schedule."""
+def bench_replay(clock: Clock) -> dict:
+    """Replays of the 4-stage RRA schedule (``B_E`` 16, ``N_D`` 8)."""
     engine = ExeGPT.for_task("OPT-13B", "S", max_encode_batch=32)
-    task = get_task("S")
-    config = REPLAY_CONFIG
-    trace = generate_task_trace(task, num_requests=num_requests, seed=0)
-    wall_s, run = _time_replays(engine.simulator, config, trace, repetitions)
-    return ReplayBench(
-        wall_s=wall_s,
-        us_per_request=1e6 * wall_s / num_requests,
-        requests=num_requests,
-        completed=run.num_requests,
-        policy=config.policy.value,
-    )
+    return _replay(clock, engine.simulator, REPLAY_CONFIG, 512, repetitions=3)
 
 
-@dataclass
-class PoolBench:
-    """Trace replay of a paper-scale RRA schedule: a standing decode pool
-    of several hundred requests, managed by the columnar request pool.
-
-    Attributes:
-        wall_s: Best-of-N replay wall time.
-        us_per_request: ``wall_s`` per replayed request, in microseconds.
-        requests: Trace length.
-        completed: Requests the replay completed.
-        decode_pool_target: Standing decode-batch target of the schedule
-            (the pool size whose management is being measured).
-        policy: Policy of the replayed schedule.
-    """
-
-    wall_s: float
-    us_per_request: float
-    requests: int
-    completed: int
-    decode_pool_target: int
-    policy: str
-
-
-# The pool benchmark replays a paper-scale RRA schedule: B_E at the search
-# space's maximum (128, the same bound the GPT3-39B acceptance numbers use)
-# yields a standing decode pool of several hundred requests -- the regime
-# where per-object pool scans dominated PR 3 replay profiles.
-POOL_REPLAY_CONFIG = ScheduleConfig(
-    policy=SchedulePolicy.RRA, encode_batch=128, decode_iterations=8
-)
-
-
-def bench_pool_replay(num_requests: int = 2048, repetitions: int = 5) -> PoolBench:
-    """Time XRunner replays with a standing decode pool of hundreds."""
+def bench_replay_pool(clock: Clock) -> dict:
+    """Replays of the paper-scale RRA schedule (``B_E`` 128)."""
     from repro.core.dynamic import DynamicWorkloadAdjuster
 
-    engine = ExeGPT.for_task("OPT-13B", "S", max_encode_batch=128)
-    task = get_task("S")
-    config = POOL_REPLAY_CONFIG
-    trace = generate_task_trace(task, num_requests=num_requests, seed=0)
-    adjuster = DynamicWorkloadAdjuster.for_schedule(engine.simulator, config)
-    decode_target = adjuster.target_decode_batch
-    wall_s, run = _time_replays(engine.simulator, config, trace, repetitions)
-    return PoolBench(
-        wall_s=wall_s,
-        us_per_request=1e6 * wall_s / num_requests,
-        requests=num_requests,
-        completed=run.num_requests,
-        decode_pool_target=int(round(decode_target)),
-        policy=config.policy.value,
-    )
+    simulator = ExeGPT.for_task("OPT-13B", "S", max_encode_batch=128).simulator
+    result = _replay(clock, simulator, POOL_REPLAY_CONFIG, 2048, repetitions=5)
+    adjuster = DynamicWorkloadAdjuster.for_schedule(simulator, POOL_REPLAY_CONFIG)
+    result["decode_pool_target"] = int(round(adjuster.target_decode_batch))
+    return result
 
 
-@dataclass
-class OnlineSweepBench:
-    """Online rate-sweep cost of the ExeGPT server.
-
-    Attributes:
-        wall_s: Wall time serving every rate once.
-        us_per_request: ``wall_s`` per served request (all rates), in
-            microseconds.
-        rates: Offered rates swept.
-        requests: Requests served per rate point.
-        completed: Requests completed at each rate.
-    """
-
-    wall_s: float
-    us_per_request: float
-    rates: tuple[float, ...]
-    requests: int
-    completed: tuple[int, ...]
-
-
-def bench_online_sweep(
-    num_requests: int = 192,
-    rates: tuple[float, ...] = (2.0, 8.0, 32.0),
-) -> OnlineSweepBench:
-    """Time an ExeGPT online rate sweep."""
+def bench_sweep_1m(
+    clock: Clock, requests: int = 1_000_000, replicas: int = 16
+) -> dict:
+    """A million-request JSQ fleet serve, timed, then served again under
+    ``tracemalloc`` for the bytes per request a warm serve allocates."""
+    from repro.engine.pool import RequestPool
+    from repro.serving.fleet import Fleet
     from repro.serving.online import ExeGPTOnlineServer
-    from repro.workloads.arrivals import PoissonProcess, attach_arrivals
+    from repro.workloads.arrivals import PoissonProcess
+    from repro.workloads.synthetic import sample_correlated_lengths
 
-    engine = ExeGPT.for_task("OPT-13B", "S", max_encode_batch=32)
-    task = get_task("S")
-    config = REPLAY_CONFIG
-    trace = generate_task_trace(task, num_requests=num_requests, seed=0)
-    stamped = [
-        attach_arrivals(trace, PoissonProcess(rate), seed=1) for rate in rates
-    ]
-
-    # Warm the placement/context memos outside the timed sweep.
-    ExeGPTOnlineServer(engine.simulator, config).serve(stamped[0])
-
-    start = time.perf_counter()
-    completed = tuple(
-        ExeGPTOnlineServer(engine.simulator, config).serve(online).completed
-        for online in stamped
+    engine = ExeGPT.for_task("OPT-13B", "S", max_encode_batch=128)
+    inputs, outputs = sample_correlated_lengths(
+        engine.input_distribution,
+        engine.output_distribution,
+        requests,
+        0.0,
+        np.random.default_rng(7),
     )
-    wall_s = time.perf_counter() - start
-    return OnlineSweepBench(
-        wall_s=wall_s,
-        us_per_request=1e6 * wall_s / (num_requests * len(rates)),
-        rates=tuple(rates),
-        requests=num_requests,
-        completed=completed,
+    # A TP-maximized single-stage RRA schedule: a handful of engine tasks
+    # per cycle, and a large encode batch and decode run amortize the fixed
+    # per-cycle cost over thousands of requests, so the wall time measures
+    # the serving loop and pool management.
+    config = ScheduleConfig(
+        policy=SchedulePolicy.RRA,
+        encode_batch=2048,
+        decode_iterations=128,
+        tensor_parallel=TensorParallelConfig(degree=4, num_gpus=4),
     )
+    # Just under the fleet's aggregate capacity: queues stay populated
+    # without tripping the 4096-deep rejection bound.
+    rate = 0.95 * engine.simulator.estimate(config).throughput_seq_per_s * replicas
+    pool = RequestPool.from_arrays(
+        inputs, outputs, PoissonProcess(rate).arrival_times(requests, seed=3)
+    )
+    fleet = Fleet.homogeneous(
+        ExeGPTOnlineServer(engine.simulator, config, max_queue=4096),
+        replicas,
+        routing="jsq",
+    )
+    raw, scaled, result = clock.time(fleet.serve_pool, pool)
+    fields = {
+        "requests": requests,
+        "replicas": replicas,
+        "routing": "jsq",
+        "rate_qps": rate,
+        "sweep_s": raw,
+        "sweep_s_scaled": scaled,
+        "completed": result.completed,
+        "rejected": result.rejected,
+        "makespan_s": result.makespan_s,
+    }
+    del result
+    # The pool exists before tracing starts, so it is left out; the peak
+    # includes the result the serve returns.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fleet.serve_pool(pool)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    fields["serve_bytes_per_request"] = peak / requests
+    return fields
 
 
-@dataclass
-class FleetBench:
-    """Fleet rate sweep + routing-overhead scaling on the shared pool.
-
-    Two measurements back the fleet layer:
-
-    * **Capacity scaling** -- the maximum offered rate a single replica
-      sustains under the SLO versus a ``replicas``-wide JSQ fleet of the
-      same server, swept over one fleet-wide rate ladder.  The fleet must
-      sustain a strictly higher rate.
-    * **Routing-overhead scaling** -- per-window routing cost of the
-      least-outstanding-work policy measured at two pool sizes.  The
-      policy reads each replica's outstanding work from an O(1) exact
-      counter (queue token sums plus in-flight debt), never a reduction
-      over the pool, so the per-window cost must stay sub-linear in
-      total pool size.
-
-    Attributes:
-        replicas: Fleet size of the capacity sweep.
-        routing: Routing policy of the capacity sweep.
-        rates: Offered-rate ladder (fleet-wide QPS).
-        slo_bound_s: p99 end-to-end SLO bound of the sweep.
-        single_qps: Highest sustained rate of one replica (0 if none).
-        fleet_qps: Highest sustained rate of the fleet (ladder-capped).
-        capacity_scaling: ``fleet_qps / single_qps``.
-        small_pool / large_pool: Request counts of the two overhead runs.
-        route_us_small / route_us_large: Mean per-window routing cost.
-        routing_overhead_ratio: ``route_us_large / route_us_small``.
-        pool_ratio: ``large_pool / small_pool``.
-    """
-
-    replicas: int
-    routing: str
-    rates: tuple[float, ...]
-    slo_bound_s: float
-    single_qps: float
-    fleet_qps: float
-    capacity_scaling: float
-    small_pool: int
-    large_pool: int
-    route_us_small: float
-    route_us_large: float
-    routing_overhead_ratio: float
-    pool_ratio: float
-
-
-class _TimedRouting(RoutingPolicy):
-    """Wraps a routing policy, accumulating wall time per routed window."""
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.name = inner.name
-        self.calls = 0
-        self.total_s = 0.0
-
-    def reset(self, fleet) -> None:
-        self.inner.reset(fleet)
-
-    def select_batch(self, fleet, rids, clock):
-        start = time.perf_counter()
-        assigned = self.inner.select_batch(fleet, rids, clock)
-        self.total_s += time.perf_counter() - start
-        self.calls += 1
-        return assigned
-
-    @property
-    def us_per_call(self) -> float:
-        if self.calls == 0:
-            return 0.0
-        return self.total_s / self.calls * 1e6
-
-
-def bench_fleet_sweep(
+def bench_fleet_capacity(
+    clock: Clock,
     num_requests: int = 192,
     replicas: int = 4,
     rates: tuple[float, ...] = (4.0, 8.0, 16.0, 32.0, 64.0),
     slo_bound_s: float = 10.0,
-    overhead_pools: tuple[int, int] = (256, 2048),
-) -> FleetBench:
-    """Sweep fleet-wide rates and measure routing-overhead scaling."""
-    from repro.serving.fleet import Fleet, LeastOutstandingWorkRouting
+) -> dict:
+    """The highest rate of a fleet-wide ladder that one replica and a
+    ``replicas``-wide JSQ fleet of it serve within a p99 SLO (simulated
+    rates; nothing is timed)."""
+    from repro.serving.fleet import Fleet
     from repro.serving.online import ExeGPTOnlineServer
     from repro.workloads.arrivals import PoissonProcess, attach_arrivals
 
     engine = ExeGPT.for_task("OPT-13B", "S", max_encode_batch=32)
-    task = get_task("S")
-    config = REPLAY_CONFIG
-    trace = generate_task_trace(task, num_requests=num_requests, seed=0)
-    server = ExeGPTOnlineServer(engine.simulator, config)
+    trace = generate_task_trace(get_task("S"), num_requests=num_requests, seed=0)
+    server = ExeGPTOnlineServer(engine.simulator, REPLAY_CONFIG)
+    fleet = Fleet.homogeneous(server, replicas, routing="jsq")
 
     def sustained(result) -> bool:
         return (
@@ -549,516 +353,34 @@ def bench_fleet_sweep(
             and result.latency_percentile(99) <= slo_bound_s
         )
 
-    # Warm the placement/context memos outside any comparison.
-    server.serve(attach_arrivals(trace, PoissonProcess(rates[0]), seed=1))
-
-    single_qps = 0.0
-    fleet_qps = 0.0
-    fleet = Fleet.homogeneous(server, replicas, routing="jsq")
+    single_qps = fleet_qps = 0.0
     for rate in rates:
         online = attach_arrivals(trace, PoissonProcess(rate), seed=1)
         if sustained(server.serve(online)):
             single_qps = max(single_qps, rate)
         if sustained(fleet.serve(online).fleet):
             fleet_qps = max(fleet_qps, rate)
-
-    # Routing-overhead scaling: per-window cost of the least-outstanding-
-    # work policy at two pool sizes (same fleet size, same offered rate).
-    route_us: list[float] = []
-    for pool_size in overhead_pools:
-        big_trace = generate_task_trace(task, num_requests=pool_size, seed=0)
-        online = attach_arrivals(big_trace, PoissonProcess(rates[-1]), seed=1)
-        timed: RoutingPolicy = _TimedRouting(LeastOutstandingWorkRouting())
-        Fleet.homogeneous(server, replicas, routing=timed).serve(online)
-        route_us.append(timed.us_per_call)
-
-    pool_ratio = overhead_pools[1] / overhead_pools[0]
-    return FleetBench(
-        replicas=replicas,
-        routing="jsq",
-        rates=tuple(rates),
-        slo_bound_s=slo_bound_s,
-        single_qps=single_qps,
-        fleet_qps=fleet_qps,
-        capacity_scaling=(
-            fleet_qps / single_qps if single_qps > 0 else float("inf")
-        ),
-        small_pool=overhead_pools[0],
-        large_pool=overhead_pools[1],
-        route_us_small=route_us[0],
-        route_us_large=route_us[1],
-        routing_overhead_ratio=(
-            route_us[1] / route_us[0] if route_us[0] > 0 else float("inf")
-        ),
-        pool_ratio=pool_ratio,
-    )
+    return {
+        "replicas": replicas,
+        "routing": "jsq",
+        "rates": list(rates),
+        "slo_bound_s": slo_bound_s,
+        "single_qps": single_qps,
+        "fleet_qps": fleet_qps,
+        "capacity_scaling": fleet_qps / single_qps if single_qps > 0 else float("inf"),
+    }
 
 
-@dataclass
-class EventCoreBench:
-    """The batched discrete-event serving core vs the stepped reference.
+def bench_campaign_fanout(clock: Clock, workers: int = 4) -> dict:
+    """A 27-cell campaign serially and fanned out into fresh stores, then
+    a resume after deleting a third of the traces, then a warm run."""
+    import tempfile
 
-    Three measurements back the event core:
+    from repro.campaign.runner import CampaignRunner, execute_cell
+    from repro.campaign.spec import CampaignSpec, canonical_json
+    from repro.campaign.store import TraceStore
 
-    * **Parity** -- every (driver, routing) pair serves the same small
-      arrival-stamped trace through a 2-replica fleet on the production
-      loop and on the stepped oracle (``tests/reference/serving.py``);
-      the per-request records and replica assignments must agree bit for
-      bit (``bit_identical``).
-    * **Loop overhead** -- a probe-replica fleet (trivial constant-time
-      replicas) isolates the loop itself: wall time of ingest + event
-      pick + routing for ``loop_requests`` arrivals over
-      ``loop_replicas`` replicas, stepped vs event.
-    * **Million-request sweep** -- a ``sweep_requests``-request pool built
-      straight from arrays is served by a ``sweep_replicas``-wide ExeGPT
-      RRA fleet under JSQ routing through the event core; the wall time
-      is the headline number (seconds, not minutes).
-
-    Attributes:
-        parity_cases: (driver, routing) pairs compared.
-        bit_identical: Every pair's records and assignments matched.
-        loop_requests / loop_replicas: Size of the loop-overhead run.
-        stepped_loop_s / event_loop_s: Loop-overhead wall times.
-        loop_speedup: Stepped over event loop time.
-        sweep_requests / sweep_replicas / sweep_routing: Sweep shape.
-        sweep_rate_qps: Offered fleet-wide arrival rate.
-        sweep_s: Wall time of the event-core sweep.
-        sweep_completed / sweep_rejected: Request outcomes of the sweep.
-        sweep_makespan_s: Simulated makespan of the sweep.
-    """
-
-    parity_cases: int
-    bit_identical: bool
-    loop_requests: int
-    loop_replicas: int
-    stepped_loop_s: float
-    event_loop_s: float
-    loop_speedup: float
-    sweep_requests: int
-    sweep_replicas: int
-    sweep_routing: str
-    sweep_rate_qps: float
-    sweep_s: float
-    sweep_completed: int
-    sweep_rejected: int
-    sweep_makespan_s: float
-
-
-def bench_event_core(
-    parity_requests: int = 48,
-    loop_requests: int = 200_000,
-    loop_replicas: int = 16,
-    sweep_requests: int = 1_000_000,
-    sweep_replicas: int = 16,
-) -> EventCoreBench:
-    """Parity, loop overhead and the million-request sweep of the event core."""
-    from repro.baselines.orca import Orca
-    from repro.baselines.vllm import Vllm
-    from repro.engine.pool import EMPTY_IDS, RequestPool
-    from reference.serving import stepped_core
-    from repro.serving.fleet import Fleet
-    from repro.serving.online import ExeGPTOnlineServer, OnlineServer
-    from repro.serving.online import ContinuousBatchingOnlineServer
-    from repro.workloads.arrivals import PoissonProcess, attach_arrivals
-    from repro.workloads.synthetic import sample_correlated_lengths
-
-    engine = ExeGPT.for_task("OPT-13B", "S", max_encode_batch=128)
-    task = get_task("S")
-
-    # -- parity: every driver x routing, stepped vs event, bit for bit ----------
-    def drivers():
-        for kind in ("orca", "vllm"):
-            cls = Orca if kind == "orca" else Vllm
-            system = cls(
-                profile=engine.profile,
-                input_distribution=engine.input_distribution,
-                output_distribution=engine.output_distribution,
-            )
-            yield ContinuousBatchingOnlineServer(system=system, batch_size=8)
-        yield ExeGPTOnlineServer(
-            engine.simulator,
-            ScheduleConfig(
-                policy=SchedulePolicy.RRA, encode_batch=8, decode_iterations=4
-            ),
-        )
-        yield ExeGPTOnlineServer(
-            engine.simulator,
-            ScheduleConfig(
-                policy=SchedulePolicy.WAA_C, encode_batch=8, micro_batches=2
-            ),
-        )
-
-    parity_trace = attach_arrivals(
-        generate_task_trace(task, num_requests=parity_requests, seed=0),
-        PoissonProcess(8.0),
-        seed=1,
-    )
-    cases = 0
-    bit_identical = True
-    for server in drivers():
-        for routing in ("round-robin", "jsq", "least-outstanding-work"):
-            fleet = Fleet.homogeneous(server, 2, routing=routing)
-            with stepped_core():
-                stepped = fleet.serve(parity_trace)
-            event = fleet.serve(parity_trace)
-            cases += 1
-            bit_identical = bit_identical and (
-                event.fleet.records == stepped.fleet.records
-                and np.array_equal(event.assignments, stepped.assignments)
-            )
-
-    # -- loop overhead: probe replicas isolate ingest/event-pick/routing -------
-    class _ProbeReplica(OnlineServer):
-        """Batch-serving replica with trivial per-iterate cost, so the loop
-        itself (ingest, event pick, routing) dominates the measurement.
-
-        It drops served ids without completing them in the pool, so its
-        ``outstanding_tokens`` counter only grows; the round-robin fleet
-        below never reads it.
-        """
-
-        def __init__(self, service_s: float, batch: int, name="probe"):
-            super().__init__(name=name, max_queue=1 << 30)
-            self.service_s = service_s
-            self.batch = batch
-
-        def clone(self, name=None):
-            return _ProbeReplica(self.service_s, self.batch, name or self.name)
-
-        def service_rate(self) -> float:
-            return self.batch / self.service_s
-
-        def _reset(self, timeline, pool) -> None:
-            self._active = EMPTY_IDS
-            self._served: list[tuple[np.ndarray, float]] = []
-
-        def _busy(self) -> bool:
-            return False
-
-        def _iterate(self, clock: float) -> float:
-            count = min(self.batch, len(self._queue))
-            self._served.append((self._queue.head_array(count), clock))
-            self._queue.pop_many(count)
-            return clock + self.service_s
-
-        def resolve_records(self, records) -> None:
-            # Stamp every served batch, so the fleet's conservation check
-            # sees each arrival complete.
-            for ids, start in self._served:
-                records.admitted_s[ids] = start
-                records.first_token_s[ids] = start
-                records.finish_s[ids] = start + self.service_s
-
-    loop_rate = 1000.0
-    probe_batch = 256
-    # Offered at 2x the probe fleet's service capacity, so arrivals pile up
-    # into large ingest batches while every replica stays busy.
-    probe_service_s = 2.0 * loop_replicas * probe_batch / loop_rate
-    loop_arrivals = PoissonProcess(loop_rate).arrival_times(loop_requests, seed=2)
-    ones = np.ones(loop_requests, dtype=np.int64)
-    loop_times = {}
-    for core in ("stepped", "event"):
-        probe = _ProbeReplica(probe_service_s, probe_batch)
-        fleet = Fleet.homogeneous(probe, loop_replicas, routing="round-robin")
-        pool = RequestPool.from_arrays(ones * 8, ones * 4, loop_arrivals)
-        with stepped_core() if core == "stepped" else nullcontext():
-            start = time.perf_counter()
-            fleet.serve_pool(pool)
-            loop_times[core] = time.perf_counter() - start
-
-    # -- the million-request sweep ----------------------------------------------
-    rng = np.random.default_rng(7)
-    inputs, outputs = sample_correlated_lengths(
-        engine.input_distribution,
-        engine.output_distribution,
-        sweep_requests,
-        0.0,
-        rng,
-    )
-    # A TP-maximized single-stage RRA schedule: one pipeline stage means a
-    # handful of engine tasks per cycle, so the sweep's wall time measures
-    # the serving loop and pool management, not pipeline task emission.
-    # The large encode batch / decode run amortize the fixed per-cycle cost
-    # (pricing, commit, adjuster) over thousands of requests per cycle.
-    sweep_config = ScheduleConfig(
-        policy=SchedulePolicy.RRA,
-        encode_batch=2048,
-        decode_iterations=128,
-        tensor_parallel=TensorParallelConfig(degree=4, num_gpus=4),
-    )
-    per_replica_qps = engine.simulator.estimate(
-        sweep_config
-    ).throughput_seq_per_s
-    # Offer just under the fleet's aggregate capacity: queues stay populated
-    # (large ingest windows) without tripping the 4096-deep rejection bound.
-    sweep_rate = 0.95 * per_replica_qps * sweep_replicas
-    sweep_arrivals = PoissonProcess(sweep_rate).arrival_times(
-        sweep_requests, seed=3
-    )
-    sweep_pool = RequestPool.from_arrays(inputs, outputs, sweep_arrivals)
-    server = ExeGPTOnlineServer(
-        engine.simulator, sweep_config, max_queue=4096
-    )
-    sweep_fleet = Fleet.homogeneous(server, sweep_replicas, routing="jsq")
-    start = time.perf_counter()
-    result = sweep_fleet.serve_pool(sweep_pool)
-    sweep_s = time.perf_counter() - start
-
-    return EventCoreBench(
-        parity_cases=cases,
-        bit_identical=bit_identical,
-        loop_requests=loop_requests,
-        loop_replicas=loop_replicas,
-        stepped_loop_s=loop_times["stepped"],
-        event_loop_s=loop_times["event"],
-        loop_speedup=(
-            loop_times["stepped"] / loop_times["event"]
-            if loop_times["event"] > 0
-            else float("inf")
-        ),
-        sweep_requests=sweep_requests,
-        sweep_replicas=sweep_replicas,
-        sweep_routing="jsq",
-        sweep_rate_qps=sweep_rate,
-        sweep_s=sweep_s,
-        sweep_completed=result.completed,
-        sweep_rejected=result.rejected,
-        sweep_makespan_s=result.makespan_s,
-    )
-
-
-@dataclass
-class ChaosBench:
-    """Fault-injection overhead on the large-pool fleet probe.
-
-    Three serves of the same arrival-stamped pool through the same ExeGPT
-    RRA fleet:
-
-    * **fault-free** -- no fault plane at all (the reference wall time),
-    * **zero-fault** -- a fault plane installed but scheduling nothing
-      (must be bit-identical to fault-free: same records, same
-      assignments; its wall-time ratio is the cost of merely carrying the
-      plane),
-    * **chaos** -- a seeded ``FaultSchedule.flap`` crash/restart process
-      sized from the fault-free makespan plus a ``LoadSheddingPolicy``,
-      exercising admit + reclaim + requeue + reroute at scale.  Served
-      twice: once on the production window path (``admit_batch`` window
-      decisions, fault-masked ``select_batch``, windowed crash
-      re-placement) and once on the per-id oracle of
-      ``tests/reference/fleet.py`` (``PerIdWindowRouter`` with the
-      one-id JSQ and load-shedding twins), which must agree bit for bit.
-
-    Conservation (offered == completed + rejected + shed) is checked on
-    the chaos run and recorded.
-
-    Attributes:
-        requests / replicas / routing: Probe shape.
-        fault_free_s / zero_fault_s / chaos_s: Wall times of the serves
-            (``chaos_s`` is the batched chaos path).
-        chaos_fallback_s: Wall time of the same chaos serve on the per-id
-            oracle.
-        zero_fault_overhead: ``zero_fault_s / fault_free_s`` (the parity
-            path's tax; must stay near 1.0).
-        chaos_overhead: ``chaos_s / fault_free_s`` (the batched chaos
-            path's tax over fault-free; was ~17x on the per-id path).
-        batched_speedup: ``chaos_fallback_s / chaos_s``.
-        zero_fault_bit_identical: Zero-fault run matched fault-free bit
-            for bit.
-        batched_bit_identical: Batched chaos run matched the per-id
-            oracle bit for bit (records and assignments).
-        crashes / requeued: Fault-plane totals of the chaos run.
-        completed / rejected / shed: Outcomes of the chaos run.
-        conserved: Conservation held on the chaos run.
-    """
-
-    requests: int
-    replicas: int
-    routing: str
-    fault_free_s: float
-    zero_fault_s: float
-    chaos_s: float
-    chaos_fallback_s: float
-    zero_fault_overhead: float
-    chaos_overhead: float
-    batched_speedup: float
-    zero_fault_bit_identical: bool
-    batched_bit_identical: bool
-    crashes: int
-    requeued: int
-    completed: int
-    rejected: int
-    shed: int
-    conserved: bool
-
-
-def bench_chaos_sweep(
-    requests: int = 200_000, replicas: int = 16
-) -> ChaosBench:
-    """Time the fleet probe fault-free, with an inert fault plane, and
-    under a seeded crash/restart flap with load shedding -- the last on
-    both the batched chaos path and the per-id fallback."""
-    from repro.engine.pool import RequestPool
-    from reference.fleet import (
-        PerIdJoinShortestQueue,
-        PerIdLoadShedding,
-        per_id_routing,
-    )
-    from repro.serving.faults import FaultSchedule, LoadSheddingPolicy
-    from repro.serving.fleet import Fleet
-    from repro.serving.online import ExeGPTOnlineServer
-    from repro.workloads.arrivals import PoissonProcess
-    from repro.workloads.synthetic import sample_correlated_lengths
-
-    engine = ExeGPT.for_task("OPT-13B", "S", max_encode_batch=128)
-    rng = np.random.default_rng(11)
-    inputs, outputs = sample_correlated_lengths(
-        engine.input_distribution,
-        engine.output_distribution,
-        requests,
-        0.0,
-        rng,
-    )
-    # The same TP-maximized single-stage RRA shape as the event-core sweep:
-    # per-cycle costs amortized, wall time dominated by the serving loop --
-    # exactly where the fault plane's clamps and checks live.
-    config = ScheduleConfig(
-        policy=SchedulePolicy.RRA,
-        encode_batch=2048,
-        decode_iterations=128,
-        tensor_parallel=TensorParallelConfig(degree=4, num_gpus=4),
-    )
-    per_replica_seq_per_s = engine.simulator.estimate(config).throughput_seq_per_s
-    rate = 0.95 * per_replica_seq_per_s * replicas
-    arrivals = PoissonProcess(rate).arrival_times(requests, seed=5)
-    pool = RequestPool.from_arrays(inputs, outputs, arrivals)
-    server = ExeGPTOnlineServer(engine.simulator, config, max_queue=4096)
-
-    def timed(fleet):
-        start = time.perf_counter()
-        result = fleet.serve_pool(pool)
-        return time.perf_counter() - start, result
-
-    fault_free_s, plain = timed(
-        Fleet.homogeneous(server, replicas, routing="jsq")
-    )
-    zero_fault_s, zero = timed(
-        Fleet.homogeneous(
-            server, replicas, routing="jsq", faults=FaultSchedule()
-        )
-    )
-    bit_identical = (
-        zero.fleet.records == plain.fleet.records
-        and np.array_equal(zero.assignments, plain.assignments)
-    )
-
-    # Flap sized from the measured fault-free makespan: each replica
-    # crashes ~4 times, is down ~10% of a between-crash interval, and
-    # warms briefly on restart.
-    makespan = plain.makespan_s
-    faults = FaultSchedule.flap(
-        replicas,
-        mtbf_s=makespan / 4.0,
-        mttr_s=makespan / 40.0,
-        horizon_s=makespan,
-        seed=13,
-        warmup_s=makespan / 100.0,
-    )
-    # Shed arrivals predicted to wait longer than the drain time of two
-    # full admission queues -- deep enough that steady state admits,
-    # shallow enough that crash-window backlogs shed a low single-digit
-    # fraction of the offered load.
-    max_wait_s = 8192.0 / per_replica_seq_per_s
-    chaos_s, chaos = timed(
-        Fleet.homogeneous(
-            server, replicas, routing="jsq", faults=faults,
-            admission=LoadSheddingPolicy(max_wait_s=max_wait_s),
-        )
-    )
-    with per_id_routing():
-        chaos_fallback_s, chaos_fallback = timed(
-            Fleet.homogeneous(
-                server, replicas, routing=PerIdJoinShortestQueue(),
-                faults=faults,
-                admission=PerIdLoadShedding(max_wait_s=max_wait_s),
-            )
-        )
-    batched_bit_identical = (
-        chaos.fleet.records == chaos_fallback.fleet.records
-        and np.array_equal(chaos.assignments, chaos_fallback.assignments)
-    )
-    return ChaosBench(
-        requests=requests,
-        replicas=replicas,
-        routing="jsq",
-        fault_free_s=fault_free_s,
-        zero_fault_s=zero_fault_s,
-        chaos_s=chaos_s,
-        chaos_fallback_s=chaos_fallback_s,
-        zero_fault_overhead=(
-            zero_fault_s / fault_free_s if fault_free_s > 0 else float("inf")
-        ),
-        chaos_overhead=(
-            chaos_s / fault_free_s if fault_free_s > 0 else float("inf")
-        ),
-        batched_speedup=(
-            chaos_fallback_s / chaos_s if chaos_s > 0 else float("inf")
-        ),
-        zero_fault_bit_identical=bit_identical,
-        batched_bit_identical=batched_bit_identical,
-        crashes=int(chaos.crashes.sum()),
-        requeued=int(chaos.requeued.sum()),
-        completed=chaos.completed,
-        rejected=chaos.rejected,
-        shed=chaos.shed,
-        conserved=chaos.fleet.conserved,
-    )
-
-
-@dataclass
-class CampaignBench:
-    """Campaign fan-out: multiprocess speedup, bit parity, resume cost.
-
-    One >= 27-cell online campaign (OPT-13B/S: 3 scenarios x 3 fleet sizes
-    x 3 routing policies) runs three ways against fresh trace stores:
-    serially, with ``workers``-wide process fan-out, and -- after deleting
-    a third of the parallel store's trace files -- as a resume that may
-    only execute the missing cells.  A final warm run must be pure loads.
-
-    Attributes:
-        cells: Campaign size.
-        workers: Fan-out width of the parallel and resume runs.
-        serial_s: Single-process wall time (fresh store).
-        parallel_s: ``workers``-wide wall time (fresh store).
-        speedup: ``serial_s / parallel_s``.
-        bit_identical: Serial, parallel and resumed stores hold canonically
-            identical trace documents for every cell.
-        resume_deleted: Trace files deleted before the resume run.
-        resume_executed: Cells the resume run actually simulated.
-        resume_loaded: Cells the resume run satisfied from the store.
-        resume_only_missing: The resume executed exactly the deleted cells.
-        resume_s: Resume-run wall time.
-        warm_load_s: Wall time of the final all-cache-hit run (pure loads).
-    """
-
-    cells: int
-    workers: int
-    serial_s: float
-    parallel_s: float
-    speedup: float
-    bit_identical: bool
-    resume_deleted: int
-    resume_executed: int
-    resume_loaded: int
-    resume_only_missing: bool
-    resume_s: float
-    warm_load_s: float
-
-
-def campaign_fanout_grid():
-    """The 27-cell campaign the fan-out acceptance numbers refer to."""
-    from repro.campaign.spec import CampaignSpec
-
-    return CampaignSpec.online_grid(
+    spec = CampaignSpec.online_grid(
         "bench-fanout",
         models=("OPT-13B",),
         tasks=("S",),
@@ -1072,18 +394,6 @@ def campaign_fanout_grid():
         max_encode_batch=16,
         max_queue=256,
     )
-
-
-def bench_campaign_fanout(workers: int = 4) -> CampaignBench:
-    """Time the campaign serial vs fanned out, then resume and warm-load."""
-    import tempfile
-
-    from repro.campaign.runner import CampaignRunner, execute_cell
-    from repro.campaign.spec import canonical_json
-    from repro.campaign.store import TraceStore
-
-    spec = campaign_fanout_grid()
-
     # Warm the per-process caches (engine profile sweep, schedule search)
     # in the parent: forked workers inherit them, so neither timed run is
     # charged for one-time costs the other skipped.
@@ -1096,100 +406,50 @@ def bench_campaign_fanout(workers: int = 4) -> CampaignBench:
         }
 
     with tempfile.TemporaryDirectory() as tmp:
-        start = time.perf_counter()
-        serial = CampaignRunner(store=TraceStore(Path(tmp) / "ser")).run(spec)
-        serial_s = time.perf_counter() - start
-
-        parallel_store = TraceStore(Path(tmp) / "par")
-        start = time.perf_counter()
-        parallel = CampaignRunner(store=parallel_store, workers=workers).run(spec)
-        parallel_s = time.perf_counter() - start
-
+        serial_s, serial_scaled, serial = clock.time(
+            CampaignRunner(store=TraceStore(Path(tmp) / "ser")).run, spec
+        )
+        store = TraceStore(Path(tmp) / "par")
+        parallel_s, parallel_scaled, parallel = clock.time(
+            CampaignRunner(store=store, workers=workers).run, spec
+        )
         victims = spec.hashes()[::3]
         for cell_hash in victims:
-            parallel_store.delete(cell_hash)
-        resume_runner = CampaignRunner(store=parallel_store, workers=workers)
-        start = time.perf_counter()
-        resumed = resume_runner.run(spec)
-        resume_s = time.perf_counter() - start
-
-        start = time.perf_counter()
-        warm = resume_runner.run(spec)
-        warm_load_s = time.perf_counter() - start
-
+            store.delete(cell_hash)
+        runner = CampaignRunner(store=store, workers=workers)
+        resume_s, resume_scaled, resumed = clock.time(runner.run, spec)
+        warm_s, warm_scaled, warm = clock.time(runner.run, spec)
         reference = docs(serial)
-        bit_identical = (
-            reference == docs(parallel)
-            and reference == docs(resumed)
-            and reference == docs(warm)
+        bit_identical = all(
+            docs(run) == reference for run in (parallel, resumed, warm)
         )
-        resume_only_missing = (
+
+    return {
+        "cells": len(spec),
+        "workers": workers,
+        "serial_s": serial_s,
+        "serial_s_scaled": serial_scaled,
+        "parallel_s": parallel_s,
+        "parallel_s_scaled": parallel_scaled,
+        "speedup": serial_scaled / parallel_scaled,
+        "bit_identical": bit_identical,
+        "resume_deleted": len(victims),
+        "resume_executed": len(resumed.executed),
+        "resume_loaded": len(resumed.loaded),
+        "resume_only_missing": (
             sorted(resumed.executed) == sorted(victims) and warm.executed == ()
-        )
-
-    return CampaignBench(
-        cells=len(spec),
-        workers=workers,
-        serial_s=serial_s,
-        parallel_s=parallel_s,
-        speedup=serial_s / parallel_s if parallel_s > 0 else float("inf"),
-        bit_identical=bit_identical,
-        resume_deleted=len(victims),
-        resume_executed=len(resumed.executed),
-        resume_loaded=len(resumed.loaded),
-        resume_only_missing=resume_only_missing,
-        resume_s=resume_s,
-        warm_load_s=warm_load_s,
-    )
+        ),
+        "resume_s": resume_s,
+        "resume_s_scaled": resume_scaled,
+        "warm_load_s": warm_s,
+        "warm_load_s_scaled": warm_scaled,
+    }
 
 
-@dataclass
-class CyclePricingBench:
-    """Cycle pricing on the serving hot loop.
-
-    Two measurements back the cycle-pricing stack:
-
-    * **Crossover micro-bench** -- the scalar position pricer and the
-      batched grouped lookups are timed directly over mixed encode/decode
-      plans of ``crossover_sizes`` items; ``measured_crossover`` is the
-      smallest size where the batched pricer wins, the empirical basis of
-      :data:`repro.engine.execution.SMALL_PLAN_ITEMS`.
-    * **200k x 16-replica probe** -- the event-core ExeGPT RRA JSQ sweep
-      (the :class:`EventCoreBench` headline shape at 200k requests) served
-      once on the production path; its wall time and microseconds per
-      request are the tracked numbers.
-
-    Attributes:
-        crossover_sizes: Plan sizes the micro-bench timed.
-        crossover_scalar_us / crossover_batched_us: Per-size pricing cost.
-        measured_crossover: Smallest size where batched pricing won.
-        configured_small_plan_items: The shipped crossover constant.
-        requests / replicas / routing: Probe shape.
-        wall_s: Wall time of the probe serve.
-        us_per_request: ``wall_s`` per offered request, in microseconds.
-        completed / rejected: Request outcomes of the probe.
-    """
-
-    crossover_sizes: list[int]
-    crossover_scalar_us: list[float]
-    crossover_batched_us: list[float]
-    measured_crossover: int
-    configured_small_plan_items: int
-    requests: int
-    replicas: int
-    routing: str
-    wall_s: float
-    us_per_request: float
-    completed: int
-    rejected: int
-
-
-def bench_cycle_pricing(
-    requests: int = 200_000,
-    replicas: int = 16,
-    crossover_reps: int = 2000,
-) -> CyclePricingBench:
-    """The crossover micro-bench plus the 200k-request probe."""
+def bench_pricing_crossover(clock: Clock, reps: int = 2000) -> dict:
+    """The scalar and the batched position pricer timed over mixed
+    encode/decode plans of 1 to 64 items (raw times: the two run back to
+    back at each size)."""
     from repro.engine.execution import (
         KIND_DECODE,
         KIND_ENCODE,
@@ -1198,16 +458,8 @@ def bench_cycle_pricing(
         _price_positions_batched,
         _price_positions_scalar,
     )
-    from repro.engine.pool import RequestPool
-    from repro.serving.fleet import Fleet
-    from repro.serving.online import ExeGPTOnlineServer
-    from repro.workloads.arrivals import PoissonProcess
-    from repro.workloads.synthetic import sample_correlated_lengths
 
-    engine = ExeGPT.for_task("OPT-13B", "S", max_encode_batch=128)
-    profile = engine.simulator.profile
-
-    # -- scalar/batched crossover over mixed encode/decode plans ---------------
+    profile = ExeGPT.for_task("OPT-13B", "S", max_encode_batch=128).simulator.profile
     rng = np.random.default_rng(0)
     sizes = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64]
     scalar_us: list[float] = []
@@ -1224,271 +476,216 @@ def bench_cycle_pricing(
         # Each timed call does what ``price_columns`` does around the
         # pricer it picks: allocate the output, build the positions.
         start = time.perf_counter()
-        for _ in range(crossover_reps):
+        for _ in range(reps):
             _price_positions_scalar(profile, cols, range(n), 0.0, np.zeros(n))
-        scalar_us.append((time.perf_counter() - start) / crossover_reps * 1e6)
+        scalar_us.append((time.perf_counter() - start) / reps * 1e6)
         start = time.perf_counter()
-        for _ in range(crossover_reps):
-            _price_positions_batched(
-                profile, cols, np.arange(n), 0.0, np.zeros(n)
+        for _ in range(reps):
+            _price_positions_batched(profile, cols, np.arange(n), 0.0, np.zeros(n))
+        batched_us.append((time.perf_counter() - start) / reps * 1e6)
+    return {
+        "sizes": sizes,
+        "scalar_us": scalar_us,
+        "batched_us": batched_us,
+        "measured_crossover": next(
+            (n for n, s, b in zip(sizes, scalar_us, batched_us) if b <= s),
+            sizes[-1],
+        ),
+        "configured_small_plan_items": SMALL_PLAN_ITEMS,
+    }
+
+
+SERIES = {
+    "estimate": bench_estimate,
+    "search": bench_search,
+    "replay": bench_replay,
+    "replay_pool": bench_replay_pool,
+    "sweep_1m": bench_sweep_1m,
+    "fleet_capacity": bench_fleet_capacity,
+    "campaign_fanout": bench_campaign_fanout,
+    "pricing_crossover": bench_pricing_crossover,
+}
+
+
+def run_series() -> dict[str, dict]:
+    """Every series in registry order, each printed as it completes."""
+    clock = Clock()
+    results = {}
+    for name, bench in SERIES.items():
+        results[name] = bench(clock)
+        print(f"{name}: {json.dumps(results[name])}", flush=True)
+    return results
+
+
+# Linux carries a process's peak RSS into the children it forks, through
+# their exec, so a run started from this process would report this
+# process's peak (314 MB after the sweep) as its ``peak_rss_mb``.  Each
+# run is started by a small launcher process instead.
+_LAUNCH = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
+def run_perfbench() -> dict[str, dict]:
+    """Each ``BENCHMARK.json`` workload at seed 0, once with ``--trace 0``
+    and once with ``--trace 1``, each in its own process: the last line
+    of every run's output (one JSON object)."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    runs: dict[str, dict] = {}
+    for workload in bench["workloads"]:
+        name = workload["name"]
+        for trace in (0, 1):
+            proc = subprocess.run(
+                [sys.executable, "-c", _LAUNCH,
+                 sys.executable, str(ROOT / "perfbench" / "run.py"),
+                 "--workload", name, "--seed", "0",
+                 "--seconds", str(bench["run_seconds"]), "--trace", str(trace)],
+                cwd=ROOT, capture_output=True, text=True, check=False,
             )
-        batched_us.append((time.perf_counter() - start) / crossover_reps * 1e6)
-    measured = next(
-        (n for n, s, b in zip(sizes, scalar_us, batched_us) if b <= s),
-        sizes[-1],
-    )
-
-    # -- the 200k x 16-replica probe ----------------------------------------------
-    rng = np.random.default_rng(7)
-    inputs, outputs = sample_correlated_lengths(
-        engine.input_distribution, engine.output_distribution, requests, 0.0, rng
-    )
-    config = ScheduleConfig(
-        policy=SchedulePolicy.RRA,
-        encode_batch=2048,
-        decode_iterations=128,
-        tensor_parallel=TensorParallelConfig(degree=4, num_gpus=4),
-    )
-    rate = 0.95 * engine.simulator.estimate(config).throughput_seq_per_s * replicas
-    arrivals = PoissonProcess(rate).arrival_times(requests, seed=3)
-    pool = RequestPool.from_arrays(inputs, outputs, arrivals)
-    server = ExeGPTOnlineServer(engine.simulator, config, max_queue=4096)
-    fleet = Fleet.homogeneous(server, replicas, routing="jsq")
-    start = time.perf_counter()
-    result = fleet.serve_pool(pool)
-    wall_s = time.perf_counter() - start
-
-    return CyclePricingBench(
-        crossover_sizes=sizes,
-        crossover_scalar_us=scalar_us,
-        crossover_batched_us=batched_us,
-        measured_crossover=measured,
-        configured_small_plan_items=SMALL_PLAN_ITEMS,
-        requests=requests,
-        replicas=replicas,
-        routing="jsq",
-        wall_s=wall_s,
-        us_per_request=1e6 * wall_s / requests,
-        completed=result.completed,
-        rejected=result.fleet.rejected,
-    )
-
-
-def _git_sha() -> str:
-    """The repository HEAD commit stamped into trajectory records."""
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            cwd=Path(__file__).resolve().parent,
-            timeout=10,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
+            lines = proc.stdout.strip().splitlines()
+            try:
+                line = json.loads(lines[-1])
+            except (IndexError, json.JSONDecodeError):
+                raise RuntimeError(
+                    f"perfbench {name} --trace {trace} exited {proc.returncode} "
+                    f"without a result line:\n{proc.stderr[-2000:]}"
+                ) from None
+            runs.setdefault(name, {})[f"trace_{trace}"] = line
+            print(f"perfbench {name} --trace {trace}: correct={line['correct']}",
+                  flush=True)
+    return runs
 
 
 def _git_dirty() -> bool | None:
     """Whether tracked files differ from HEAD (``None`` when git fails).
 
     A record measured on an uncommitted tree names HEAD -- the parent of
-    the change it measures -- as its ``git_sha``; this flag says so.
+    the change it measures -- as its commit; this flag says so.
     """
     try:
         status = subprocess.run(
             ["git", "status", "--porcelain", "--untracked-files=no"],
-            capture_output=True,
-            text=True,
-            cwd=Path(__file__).resolve().parent,
-            timeout=10,
-            check=True,
+            capture_output=True, text=True, cwd=ROOT, timeout=10, check=True,
         ).stdout
     except (OSError, subprocess.SubprocessError):
         return None
     return bool(status.strip())
 
 
-def make_record(
-    estimate: EstimateBench,
-    search: SearchBench,
-    runner: RunnerBench,
-    replay: ReplayBench | None = None,
-    online: OnlineSweepBench | None = None,
-    pool: PoolBench | None = None,
-    fleet: FleetBench | None = None,
-    event_core: EventCoreBench | None = None,
-    chaos: ChaosBench | None = None,
-    campaign: CampaignBench | None = None,
-    cycle_pricing: CyclePricingBench | None = None,
-) -> dict:
-    """Assemble one machine-readable trajectory record."""
+def write_record(series: dict[str, dict]) -> dict:
+    """Run the perfbench workloads, append one record to
+    ``BENCH_search.json`` and render it into README.md."""
+    facts = _perfbench().host_facts()
     record = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "git_sha": _git_sha(),
+        "git_sha": facts.pop("git"),
         "dirty": _git_dirty(),
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        "search_space": {
-            "model": SEARCH_MODEL,
-            "num_gpus": SEARCH_GPUS,
-            "task": SEARCH_TASK,
-            "bound_s": SEARCH_BOUND_S,
-            "points": search.space_points,
-        },
-        "estimate": estimate.__dict__,
-        "search": search.__dict__,
-        "runner": runner.__dict__,
+        "host": facts,
+        **series,
+        "perfbench": run_perfbench(),
     }
-    if replay is not None:
-        record["replay"] = dict(replay.__dict__)
-    if online is not None:
-        payload = dict(online.__dict__)
-        payload["rates"] = list(payload["rates"])
-        payload["completed"] = list(payload["completed"])
-        record["online_sweep"] = payload
-    if pool is not None:
-        record["replay_pool"] = dict(pool.__dict__)
-    if fleet is not None:
-        payload = dict(fleet.__dict__)
-        payload["rates"] = list(payload["rates"])
-        record["fleet_sweep"] = payload
-    if event_core is not None:
-        record["event_core"] = dict(event_core.__dict__)
-    if chaos is not None:
-        record["chaos_sweep"] = dict(chaos.__dict__)
-    if campaign is not None:
-        record["campaign_fanout"] = dict(campaign.__dict__)
-    if cycle_pricing is not None:
-        payload = dict(cycle_pricing.__dict__)
-        payload["crossover_sizes"] = list(payload["crossover_sizes"])
-        payload["crossover_scalar_us"] = list(payload["crossover_scalar_us"])
-        payload["crossover_batched_us"] = list(payload["crossover_batched_us"])
-        record["cycle_pricing"] = payload
-    return record
-
-
-def write_bench_record(
-    estimate: EstimateBench,
-    search: SearchBench,
-    runner: RunnerBench,
-    replay: ReplayBench | None = None,
-    online: OnlineSweepBench | None = None,
-    pool: PoolBench | None = None,
-    fleet: FleetBench | None = None,
-    event_core: EventCoreBench | None = None,
-    chaos: ChaosBench | None = None,
-    campaign: CampaignBench | None = None,
-    cycle_pricing: CyclePricingBench | None = None,
-) -> dict:
-    """Append one record to ``BENCH_search.json`` and return it.
-
-    Only the harness CLI and the CI perf job (``BENCH_RECORD=1``) call this;
-    plain test runs measure without touching the committed trajectory file.
-    """
-    record = make_record(
-        estimate, search, runner, replay, online, pool, fleet, event_core,
-        chaos, campaign, cycle_pricing,
-    )
-    doc = {
-        "schema": 1,
-        "benchmark": "search",
-        "pre_pr_baseline": PRE_PR_BASELINE,
-        "trajectory": [],
-    }
-    if BENCH_PATH.exists():
-        try:
-            existing = json.loads(BENCH_PATH.read_text())
-            if isinstance(existing.get("trajectory"), list):
-                doc["trajectory"] = existing["trajectory"]
-        except (json.JSONDecodeError, OSError):
-            pass
+    doc = json.loads(BENCH_PATH.read_text())
     doc["trajectory"].append(record)
     BENCH_PATH.write_text(json.dumps(doc, indent=2) + "\n")
+    write_readme(record)
     return record
+
+
+def latest_record() -> dict:
+    """The last record of the committed trajectory."""
+    return json.loads(BENCH_PATH.read_text())["trajectory"][-1]
+
+
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, int):
+        return f"{value:,}"
+    if isinstance(value, float):
+        return f"{value:,.0f}" if abs(value) >= 1000 else f"{value:.4g}"
+    if isinstance(value, list):
+        return " / ".join(_fmt(v) for v in value)
+    return str(value)
+
+
+def render(record: dict) -> str:
+    """The README block of a record: the perfbench end-to-end table, the
+    top five self times per workload, and every harness series."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    metrics = [m["name"] for m in bench["end_to_end"]]
+    runs = record["perfbench"]
+    host = record["host"]
+    dirty = " plus uncommitted changes" if record["dirty"] else ""
+    lines = [
+        f"Record of {record['timestamp']}: commit `{record['git_sha'][:8]}`"
+        f"{dirty}, {host['nproc']} CPUs, Python {host['python']}, "
+        f"numpy {host['numpy']}.",
+        "",
+        f"End to end (`perfbench/run.py --seed 0 --seconds "
+        f"{bench['run_seconds']} --trace 0`, scaled to the reference host "
+        "speed):",
+        "",
+        "| workload | correct | failed / attempted | "
+        + " | ".join(metrics) + " |",
+        "|---" * (len(metrics) + 3) + "|",
+    ]
+    for name in names:
+        line = runs[name]["trace_0"]
+        values = [
+            f"{_fmt(line['metrics'][m]['value'])} {line['metrics'][m]['unit']}"
+            for m in metrics
+        ]
+        lines.append(
+            f"| `{name}` | {_fmt(line['correct'])} | "
+            f"{line['failed']:,} / {line['attempted']:,} | "
+            + " | ".join(values) + " |"
+        )
+    lines += [
+        "",
+        "Top five self times per op (`--trace 1`; an op is one serve, or "
+        "one pass of the 60 queries for `schedule_search`):",
+        "",
+        "| workload | 1st | 2nd | 3rd | 4th | 5th |",
+        "|---|---|---|---|---|---|",
+    ]
+    for name in names:
+        measured = runs[name]["trace_1"]["metrics"]
+        top = sorted(
+            ((m["value"], key) for key, m in measured.items()
+             if key.endswith("self_s") and m["value"] > 0),
+            reverse=True,
+        )[:5]
+        cells = [
+            f"`{key.removesuffix('self_s').rstrip('._')}` {value:.3g} s"
+            for value, key in top
+        ] + ["—"] * (5 - len(top))
+        lines.append(f"| `{name}` | " + " | ".join(cells) + " |")
+    lines += ["", "Harness series (`<field>_scaled`: at the reference host speed):", ""]
+    for name in SERIES:
+        fields = ", ".join(f"{k} {_fmt(v)}" for k, v in record[name].items())
+        lines.append(f"- `{name}`: {fields}")
+    return "\n".join(lines)
+
+
+def readme_block() -> str:
+    """The text between the README markers."""
+    text = README_PATH.read_text()
+    start = text.index(README_BEGIN) + len(README_BEGIN)
+    return text[start:text.index(README_END)].strip("\n")
+
+
+def write_readme(record: dict) -> None:
+    """Replace the README block with the render of ``record``."""
+    text = README_PATH.read_text()
+    head = text[: text.index(README_BEGIN) + len(README_BEGIN)]
+    tail = text[text.index(README_END):]
+    README_PATH.write_text(f"{head}\n{render(record)}\n{tail}")
 
 
 def main() -> None:
-    """Run the full harness and print the headline numbers."""
-    engine = build_search_engine()
-    estimate = bench_estimate(engine)
-    search = bench_search(engine, estimate.scalar_ms_per_point)
-    runner = bench_runner()
-    replay = bench_replay()
-    online = bench_online_sweep()
-    pool = bench_pool_replay()
-    fleet = bench_fleet_sweep()
-    event_core = bench_event_core()
-    chaos = bench_chaos_sweep()
-    campaign = bench_campaign_fanout()
-    cycle_pricing = bench_cycle_pricing()
-    write_bench_record(
-        estimate, search, runner, replay, online, pool, fleet, event_core,
-        chaos, campaign, cycle_pricing,
-    )
-    print(f"estimate: {estimate.scalar_ms_per_point:.2f} ms/pt scalar, "
-          f"{estimate.batch_us_per_point:.1f} us/pt batched "
-          f"({estimate.speedup:.1f}x, worst rel err {estimate.worst_rel_err:.2e})")
-    print(f"branch-and-bound: {search.bnb_batched_s:.2f} s, "
-          f"{search.bnb_evaluations} evaluations, {search.bnb_estimate_calls} "
-          f"estimate calls pricing {search.bnb_points} points")
-    print(f"exhaustive ({search.space_points} pts): "
-          f"{search.exhaustive_scalar_equiv_s:.1f} s scalar-equivalent, "
-          f"{search.exhaustive_batched_s:.2f} s batched "
-          f"({search.exhaustive_speedup:.1f}x)")
-    print(f"runner: {runner.runner_s:.3f} s for {runner.requests} requests")
-    print(f"replay ({replay.policy}, {replay.requests} reqs): "
-          f"{replay.wall_s:.3f} s ({replay.us_per_request:.1f} us/request)")
-    print(f"online sweep ({len(online.rates)} rates x {online.requests} reqs): "
-          f"{online.wall_s:.3f} s ({online.us_per_request:.1f} us/request)")
-    print(f"pool replay ({pool.policy}, {pool.requests} reqs, "
-          f"decode pool ~{pool.decode_pool_target}): "
-          f"{pool.wall_s:.3f} s ({pool.us_per_request:.1f} us/request)")
-    print(f"fleet sweep ({fleet.replicas}x {fleet.routing}, "
-          f"p99 SLO {fleet.slo_bound_s:g} s): single {fleet.single_qps:g} qps, "
-          f"fleet {fleet.fleet_qps:g} qps ({fleet.capacity_scaling:.1f}x); "
-          f"routing {fleet.route_us_small:.1f} -> {fleet.route_us_large:.1f} "
-          f"us/decision over a {fleet.pool_ratio:.0f}x pool "
-          f"({fleet.routing_overhead_ratio:.2f}x)")
-    print(f"event core: parity {event_core.parity_cases} cases "
-          f"bit-identical={event_core.bit_identical}; loop "
-          f"{event_core.stepped_loop_s:.2f} s stepped -> "
-          f"{event_core.event_loop_s:.2f} s event "
-          f"({event_core.loop_speedup:.1f}x, {event_core.loop_requests} reqs "
-          f"x {event_core.loop_replicas} replicas); "
-          f"{event_core.sweep_requests}-request {event_core.sweep_replicas}"
-          f"-replica {event_core.sweep_routing} sweep in "
-          f"{event_core.sweep_s:.1f} s "
-          f"({event_core.sweep_completed} completed, "
-          f"{event_core.sweep_rejected} rejected, makespan "
-          f"{event_core.sweep_makespan_s:.0f} s)")
-    print(f"chaos sweep ({chaos.requests} reqs x {chaos.replicas} replicas): "
-          f"{chaos.fault_free_s:.1f} s fault-free, "
-          f"{chaos.zero_fault_s:.1f} s zero-fault "
-          f"({chaos.zero_fault_overhead:.2f}x, "
-          f"bit-identical={chaos.zero_fault_bit_identical}), "
-          f"{chaos.chaos_s:.1f} s under {chaos.crashes} crashes "
-          f"({chaos.chaos_overhead:.2f}x, {chaos.requeued} requeued, "
-          f"conserved={chaos.conserved})")
-    print(f"campaign fan-out ({campaign.cells} cells): "
-          f"{campaign.serial_s:.2f} s serial, {campaign.parallel_s:.2f} s on "
-          f"{campaign.workers} workers ({campaign.speedup:.1f}x, "
-          f"bit-identical={campaign.bit_identical}); resume after deleting "
-          f"{campaign.resume_deleted} traces executed "
-          f"{campaign.resume_executed} cells in {campaign.resume_s:.2f} s "
-          f"(only-missing={campaign.resume_only_missing}); warm load "
-          f"{campaign.warm_load_s:.3f} s")
-    print(f"cycle pricing: crossover at {cycle_pricing.measured_crossover} "
-          f"items (configured {cycle_pricing.configured_small_plan_items}); "
-          f"{cycle_pricing.requests} reqs x {cycle_pricing.replicas} replicas "
-          f"in {cycle_pricing.wall_s:.2f} s "
-          f"({cycle_pricing.us_per_request:.2f} us/request, "
-          f"{cycle_pricing.completed} completed, "
-          f"{cycle_pricing.rejected} rejected)")
-    print(f"wrote {BENCH_PATH}")
+    """Run every series and the perfbench workloads, append the record to
+    ``BENCH_search.json`` and render it into README.md."""
+    write_record(run_series())
+    print(f"appended a record to {BENCH_PATH} and rendered it into {README_PATH}")
 
 
 if __name__ == "__main__":

@@ -1,88 +1,54 @@
-"""Perf-regression tests: the vectorized engine must stay fast.
+"""Perf-regression tests: the harness series, and the committed record.
 
-One module-scoped harness run produces every measurement.  The parity and
-bit-identity checks run everywhere, and so do the machine-independent bars
-on the series that record absolute wall times (every request completes,
-within a generous wall bound).  Each same-run wall-clock ratio (a speedup
-of a vectorized or batched path over its reference path, or an overhead)
-is its own test marked ``ratio``: ratios are machine-independent but still
-timing bars, which a shared host can push below any fixed bar for a run,
-so they run only when ``-m perf`` is selected, as in the nightly perf job
-(see ``conftest.py``).  With ``BENCH_RECORD=1`` in the environment (set by
-that job) the record is also appended to ``BENCH_search.json``, so the
-perf trajectory is tracked across PRs without plain test runs dirtying the
-committed file.
+One module-scoped run of every series in ``harness.SERIES`` produces the
+measurements.  The parity and bit-identity checks run everywhere, and so
+do the machine-independent bars on the series that record absolute wall
+times (every request completes, within a generous wall bound) and the
+memory bar of the million-request sweep.  Each same-run wall-clock ratio
+(a speedup of a batched or fanned-out path over its reference) is its own
+test marked ``ratio``: ratios are machine-independent but still timing
+bars, which a shared host can push below any fixed bar for a run, so they
+run only when ``-m perf`` is selected, as in the nightly perf job (see
+``conftest.py``).  With ``BENCH_RECORD=1`` in the environment (set by that
+job) the fixture also runs the perfbench workloads, appends the record to
+``BENCH_search.json`` and re-renders README.md, so plain test runs never
+touch the committed files.
+
+The record tests read the latest committed record: it must hold every
+series' fields, both perfbench runs of every workload, and be what the
+README shows.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
 
 from harness import (
-    BENCH_PATH,
-    bench_campaign_fanout,
-    bench_chaos_sweep,
-    bench_cycle_pricing,
-    bench_estimate,
-    bench_event_core,
-    bench_fleet_sweep,
-    bench_online_sweep,
-    bench_pool_replay,
-    bench_replay,
-    bench_runner,
-    bench_search,
-    build_search_engine,
-    make_record,
-    write_bench_record,
+    ROOT,
+    SERIES,
+    latest_record,
+    readme_block,
+    render,
+    run_series,
+    write_record,
 )
 
 
 @pytest.fixture(scope="module")
 def bench_record():
-    engine = build_search_engine()
-    estimate = bench_estimate(engine)
-    search = bench_search(engine, estimate.scalar_ms_per_point)
-    runner = bench_runner()
-    replay = bench_replay()
-    online = bench_online_sweep()
-    pool = bench_pool_replay()
-    fleet = bench_fleet_sweep()
-    event_core = bench_event_core()
-    chaos = bench_chaos_sweep()
-    campaign = bench_campaign_fanout()
-    cycle_pricing = bench_cycle_pricing()
+    series = run_series()
     if os.environ.get("BENCH_RECORD") == "1":
-        record = write_bench_record(
-            estimate, search, runner, replay, online, pool, fleet, event_core,
-            chaos, campaign, cycle_pricing,
-        )
-    else:
-        record = make_record(
-            estimate, search, runner, replay, online, pool, fleet, event_core,
-            chaos, campaign, cycle_pricing,
-        )
-    return {
-        "estimate": estimate,
-        "search": search,
-        "runner": runner,
-        "replay": replay,
-        "online": online,
-        "pool": pool,
-        "fleet": fleet,
-        "event_core": event_core,
-        "chaos": chaos,
-        "campaign": campaign,
-        "cycle_pricing": cycle_pricing,
-        "record": record,
-    }
+        write_record(series)
+    return series
 
 
 def test_estimate_batch_parity(bench_record):
-    # Batched estimates equal the scalar ones exactly, whatever else is in
-    # the call.
-    assert bench_record["estimate"].worst_rel_err == 0
+    # Batched estimates equal the scalar oracle's exactly, whatever else is
+    # in the call.
+    assert bench_record["estimate"]["worst_rel_err"] == 0
 
 
 @pytest.mark.ratio
@@ -94,156 +60,93 @@ def test_estimate_batch_speedup(bench_record):
     # scalar path sped up ~4x (1.6 -> 0.35 ms per point) and the batched
     # one ~2x, so the ratio fell from 8-17x to 6-10x on a 2-vCPU host
     # while both paths got faster.  4x keeps margin below that.
-    assert bench_record["estimate"].speedup >= 4.0
+    assert bench_record["estimate"]["speedup"] >= 4.0
 
 
 def test_exhaustive_search_finds_optimum(bench_record):
     search = bench_record["search"]
-    assert search.space_points >= 65536
-    assert search.best_throughput_matches
+    assert search["space_points"] >= 65536
+    assert search["best_throughput_matches"]
 
 
 @pytest.mark.ratio
 def test_exhaustive_search_speedup(bench_record):
     # Acceptance bar: the 65,536-point exhaustive grid must be >= 10x faster
-    # than evaluating it through the scalar reference path.
-    assert bench_record["search"].exhaustive_speedup >= 10.0
+    # than evaluating it through the scalar reference path, extrapolated
+    # from the scalar oracle's per-point cost.
+    search = bench_record["search"]
+    scalar_equiv_s = (
+        bench_record["estimate"]["scalar_ms_per_point_scaled"] * 1e-3
+        * search["space_points"]
+    )
+    assert scalar_equiv_s / search["exhaustive_batched_s_scaled"] >= 10.0
 
 
 @pytest.mark.ratio
 def test_branch_and_bound_speedup(bench_record):
     search = bench_record["search"]
     # Branch-and-bound must stay well ahead of grid-evaluating the space.
-    assert search.bnb_batched_s < search.exhaustive_batched_s * 2.0
+    assert search["bnb_batched_s_scaled"] < search["exhaustive_batched_s_scaled"] * 2.0
 
 
-def test_runner_replay_recorded(bench_record):
-    runner = bench_record["runner"]
-    assert runner.throughput_seq_per_s > 0
-    # Replaying 512 requests is milliseconds of work; a minute means the
-    # runner hot path regressed catastrophically.
-    assert runner.runner_s < 60.0
+def _replay_wall_s(replay: dict) -> float:
+    return replay["us_per_request"] * replay["requests"] * 1e-6
 
 
 def test_replay_recorded(bench_record):
     replay = bench_record["replay"]
-    assert replay.completed == replay.requests
+    assert replay["completed"] == replay["requests"]
     # A 512-request replay is tens of milliseconds of work.
-    assert 0 < replay.wall_s < 60.0
-
-
-def test_online_sweep_recorded(bench_record):
-    online = bench_record["online"]
-    # 192 requests per rate never overflow the default 512-slot queue.
-    assert online.completed == (online.requests,) * len(online.rates)
-    assert 0 < online.wall_s < 60.0
+    assert 0 < _replay_wall_s(replay) < 60.0
 
 
 def test_pool_replay_recorded(bench_record):
-    pool = bench_record["pool"]
+    pool = bench_record["replay_pool"]
     # The paper-scale RRA replay keeps a decode pool of several hundred.
-    assert pool.decode_pool_target >= 128
-    assert pool.completed == pool.requests
-    assert 0 < pool.wall_s < 60.0
+    assert pool["decode_pool_target"] >= 128
+    assert pool["completed"] == pool["requests"]
+    assert 0 < _replay_wall_s(pool) < 60.0
+
+
+def test_sweep_1m(bench_record):
+    sweep = bench_record["sweep_1m"]
+    # A million-request 16-replica sweep finishes in seconds (sub-minute is
+    # the machine-independent regression bar) with every request accounted
+    # for.
+    assert sweep["requests"] >= 1_000_000
+    assert sweep["replicas"] >= 16
+    assert sweep["completed"] + sweep["rejected"] == sweep["requests"]
+    assert sweep["sweep_s"] < 60.0
+
+
+def test_sweep_1m_memory(bench_record):
+    # A warm serve allocates about 115 B per request at its peak (the
+    # pool left out): the fleet result's record columns and assignments.
+    # A per-replica copy of the record columns would add 66 B.
+    assert bench_record["sweep_1m"]["serve_bytes_per_request"] <= 130.0
 
 
 def test_fleet_capacity_scaling(bench_record):
-    fleet = bench_record["fleet"]
+    fleet = bench_record["fleet_capacity"]
     # A 4-replica JSQ fleet must sustain a strictly higher fleet-wide rate
     # than one replica of the same server under the same SLO.
-    assert fleet.replicas >= 4
-    assert fleet.single_qps > 0
-    assert fleet.fleet_qps > fleet.single_qps
-
-
-@pytest.mark.ratio
-def test_fleet_routing_overhead_sublinear(bench_record):
-    fleet = bench_record["fleet"]
-    # Routing prices outstanding work through column reductions over each
-    # replica's own id slices (queue + in-flight batch), never the whole
-    # pool, so the per-decision cost must stay sub-linear in pool size: an
-    # 8x pool may at most double it (in practice it stays ~flat).
-    assert fleet.pool_ratio >= 8.0
-    assert fleet.route_us_small > 0
-    assert fleet.routing_overhead_ratio < fleet.pool_ratio / 2.0
-
-
-def test_event_core_parity_and_throughput(bench_record):
-    event_core = bench_record["event_core"]
-    # The event core is only useful if it is a drop-in replacement: every
-    # driver x routing pairing must reproduce the stepped loop's records bit
-    # for bit.
-    assert event_core.parity_cases == 12
-    assert event_core.bit_identical
-    # The headline: a million-request 16-replica sweep finishes in seconds
-    # (sub-minute is the machine-independent regression bar) with every
-    # request accounted for.
-    assert event_core.sweep_requests >= 1_000_000
-    assert event_core.sweep_replicas >= 16
-    assert event_core.sweep_completed + event_core.sweep_rejected \
-        == event_core.sweep_requests
-    assert event_core.sweep_s < 60.0
-
-
-@pytest.mark.ratio
-def test_event_core_loop_speedup(bench_record):
-    # Batching the arrival windows must actually pay off on a saturated
-    # fleet (3.8x measured; 1.5x is the regression floor).
-    assert bench_record["event_core"].loop_speedup >= 1.5
-
-
-def test_chaos_sweep_parity(bench_record):
-    chaos = bench_record["chaos"]
-    # An installed but empty FaultSchedule reproduces the fault-free run
-    # bit for bit.
-    assert chaos.zero_fault_bit_identical
-    # Under the seeded flap + load shedding the run actually exercised
-    # admit + reclaim + reroute and conserved every request.  The per-id
-    # oracle (tests/reference/fleet.py) is the bit-parity reference: the
-    # window path (admit_batch window decisions, fault-masked
-    # select_batch, windowed crash re-placement) must reproduce it
-    # exactly.
-    assert chaos.crashes > 0
-    assert chaos.requeued > 0
-    assert chaos.conserved
-    assert chaos.completed + chaos.rejected + chaos.shed == chaos.requests
-    assert chaos.batched_bit_identical
-
-
-@pytest.mark.ratio
-def test_chaos_zero_fault_overhead(bench_record):
-    # The fault plane must be free when it schedules nothing: its wall-time
-    # tax on the 200k x 16-replica probe stays small (~1.0x measured; 1.5x
-    # is the regression bar).
-    assert bench_record["chaos"].zero_fault_overhead < 1.5
-
-
-@pytest.mark.ratio
-def test_chaos_overhead(bench_record):
-    # Fault-window arrivals route through the batched chaos path, so the
-    # tax over fault-free collapses from the ~17x the per-id fallback paid
-    # to low-single-digit (4x is the regression bar).
-    assert bench_record["chaos"].chaos_overhead < 4.0
-
-
-@pytest.mark.ratio
-def test_chaos_batched_speedup(bench_record):
-    # The window path must beat the per-id oracle by >= 3x.
-    assert bench_record["chaos"].batched_speedup >= 3.0
+    assert fleet["replicas"] >= 4
+    assert fleet["single_qps"] > 0
+    assert fleet["fleet_qps"] > fleet["single_qps"]
 
 
 def test_campaign_fanout_parity_and_resume(bench_record):
-    campaign = bench_record["campaign"]
+    campaign = bench_record["campaign_fanout"]
     # The campaign layer's correctness bars are machine-independent: the
     # serial, fanned-out, resumed and warm-loaded runs of the 27-cell grid
     # must hold canonically identical trace documents, and the resume (a
     # third of the trace files deleted) must execute exactly the missing
     # cells -- the final warm run being pure loads.
-    assert campaign.cells >= 27
-    assert campaign.bit_identical
-    assert campaign.resume_deleted == campaign.resume_executed
-    assert campaign.resume_loaded == campaign.cells - campaign.resume_deleted
-    assert campaign.resume_only_missing
+    assert campaign["cells"] >= 27
+    assert campaign["bit_identical"]
+    assert campaign["resume_deleted"] == campaign["resume_executed"]
+    assert campaign["resume_loaded"] == campaign["cells"] - campaign["resume_deleted"]
+    assert campaign["resume_only_missing"]
 
 
 @pytest.mark.ratio
@@ -253,54 +156,50 @@ def test_campaign_fanout_speedup(bench_record):
             "campaign fan-out speedup needs >= 4 usable CPUs; "
             f"this machine exposes {len(os.sched_getaffinity(0))}"
         )
-    campaign = bench_record["campaign"]
+    campaign = bench_record["campaign_fanout"]
     # Acceptance bar: 4-worker fan-out of the 27-cell campaign is >= 3x
     # faster than the serial run (the cells are independent simulations;
     # anything below 3x on 4 CPUs means pickling or cache rebuilds are
     # eating the parallelism).
-    assert campaign.workers >= 4
-    assert campaign.speedup >= 3.0
-
-
-def test_cycle_pricing_recorded(bench_record):
-    pricing = bench_record["cycle_pricing"]
-    # The 200k-request 16-replica probe runs at 95% of capacity: every
-    # request completes, in seconds (~0.3 s measured on a 2-vCPU host).
-    assert pricing.completed == pricing.requests
-    assert pricing.rejected == 0
-    assert 0 < pricing.wall_s < 60.0
+    assert campaign["workers"] >= 4
+    assert campaign["speedup"] >= 3.0
 
 
 @pytest.mark.ratio
-def test_cycle_pricing_crossover_bracket(bench_record):
-    pricing = bench_record["cycle_pricing"]
+def test_pricing_crossover_bracket(bench_record):
+    pricing = bench_record["pricing_crossover"]
     # The crossover micro-bench must actually bracket the shipped constant:
     # tiny plans stay scalar, large plans go batched, and the measured
     # crossover lands within the swept sizes.
-    assert pricing.crossover_scalar_us[0] < pricing.crossover_batched_us[0]
-    assert pricing.crossover_batched_us[-1] < pricing.crossover_scalar_us[-1]
-    assert pricing.measured_crossover in pricing.crossover_sizes
+    assert pricing["scalar_us"][0] < pricing["batched_us"][0]
+    assert pricing["batched_us"][-1] < pricing["scalar_us"][-1]
+    assert pricing["measured_crossover"] in pricing["sizes"]
 
 
-def test_bench_record_complete(bench_record):
-    record = bench_record["record"]
-    assert record["search"]["space_points"] >= 65536
-    assert set(record) >= {
-        "timestamp", "git_sha", "host", "search_space", "estimate", "search",
-        "runner", "replay", "online_sweep", "replay_pool", "fleet_sweep",
-        "event_core", "chaos_sweep", "campaign_fanout", "cycle_pricing",
-    }
-    assert set(record["chaos_sweep"]) >= {
-        "chaos_overhead", "chaos_fallback_s", "batched_speedup",
-        "batched_bit_identical",
-    }
-    for series in ("replay", "online_sweep", "replay_pool", "cycle_pricing"):
-        assert set(record[series]) >= {"wall_s", "us_per_request", "completed"}
-    assert set(record["cycle_pricing"]) >= {
-        "crossover_sizes", "crossover_scalar_us", "crossover_batched_us",
-        "measured_crossover", "configured_small_plan_items",
-    }
+def test_latest_record_holds_every_series(bench_record):
+    # The committed record was taken with the current series: each holds
+    # exactly the fields a fresh run returns.
+    record = latest_record()
+    for name in SERIES:
+        assert set(record[name]) == set(bench_record[name]), name
     assert record["git_sha"] == "unknown" or len(record["git_sha"]) == 40
-    # The committed trajectory file exists; it is only appended to when
-    # recording is explicitly enabled (BENCH_RECORD=1 or the harness CLI).
-    assert BENCH_PATH.exists()
+
+
+def test_latest_record_holds_every_perfbench_run():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    runs = latest_record()["perfbench"]
+    end_to_end = {m["name"] for m in bench["end_to_end"]}
+    per_layer = {m["name"] for m in bench["per_layer"]}
+    for workload in bench["workloads"]:
+        untraced = runs[workload["name"]]["trace_0"]
+        traced = runs[workload["name"]]["trace_1"]
+        assert untraced["correct"] is True and traced["correct"] is True
+        assert untraced["failed"] == 0 and traced["failed"] == 0
+        assert end_to_end <= set(untraced["metrics"]), workload["name"]
+        assert per_layer <= set(traced["metrics"]), workload["name"]
+
+
+def test_readme_shows_latest_record():
+    # README.md's Performance block is the harness's render of the latest
+    # record; `python benchmarks/perf/harness.py` writes both.
+    assert readme_block() == render(latest_record())

@@ -177,16 +177,6 @@ class Placement:
         return sum(s.tp_degree for s in self.stages)
 
     @functools.cached_property
-    def num_encode_gpus(self) -> int:
-        """GPUs participating in encoding."""
-        return sum(s.tp_degree for s in self.encode_stages)
-
-    @functools.cached_property
-    def num_decode_gpus(self) -> int:
-        """GPUs participating in decoding."""
-        return sum(s.tp_degree for s in self.decode_stages)
-
-    @functools.cached_property
     def _spans_nodes(self) -> dict[StagePlan, bool]:
         return {
             s: self.cluster.group_spans_nodes(list(s.gpu_indices)) for s in self.stages

@@ -91,13 +91,13 @@ KIND_DECODE = 1
 # lookup costs more than it saves: packing the query arrays, grouping them
 # and the wider ``lookup_batch`` kernel carry a fixed overhead of about
 # 100 us per plan, while a plain-float scalar lookup costs a few us per
-# item.  The value is *measured*, not guessed: the crossover micro-bench
-# of the ``cycle_pricing`` series in ``benchmarks/perf/harness.py`` times
-# both pricers over plan sizes 1..64.  On a 2-vCPU x86 host the scalar loop
-# still wins at 24 mixed encode/decode items (~89-103 us vs ~102-116 us per
-# plan) and the batched path has overtaken it by 32 (~93-104 us vs
-# ~108-196 us), hence 28.  Both pricers are element-wise bit-identical, so
-# the choice is invisible in the results.
+# item.  The value is *measured*, not guessed: the ``pricing_crossover``
+# series in ``benchmarks/perf/harness.py`` times both pricers over plan
+# sizes 1..64.  On a 2-vCPU x86 host the scalar loop still wins at 24
+# mixed encode/decode items (~89-103 us vs ~102-116 us per plan) and the
+# batched path has overtaken it by 32 (~93-104 us vs ~108-196 us), hence
+# 28.  Both pricers are element-wise bit-identical, so the choice is
+# invisible in the results.
 SMALL_PLAN_ITEMS = 28
 
 

@@ -151,10 +151,6 @@ class RunResult:
             return self.latency_percentile(99.0, skip_warmup=True)
         return float(np.max(latencies[mask]))
 
-    def satisfies_bound(self, bound_s: float) -> bool:
-        """Whether the 99th-percentile latency meets a bound."""
-        return self.p99_latency_s <= bound_s
-
     # -- stage-time variance (Table 7) ------------------------------------------------
 
     def stage_time_stats(self, phase: str) -> dict[str, float]:

@@ -798,13 +798,6 @@ class Fleet:
         """Ids admitted into engines and unfinished (O(replicas))."""
         return sum(replica.in_flight for replica in self.replicas)
 
-    @property
-    def completed_count(self) -> int:
-        """Requests finished fleet-wide: the shared pool's O(1) counter."""
-        if self._pool is None:
-            return 0
-        return self._pool.done_count
-
     def outstanding_tokens(self) -> int:
         """Tokens owed fleet-wide (O(replicas); 0 before the first serve)."""
         return sum(replica.outstanding_tokens() for replica in self.replicas)

@@ -16,7 +16,7 @@ exactly, so ``==`` comparisons below really are bit-level.
 Regenerating the fixtures (only when an *intentional* semantic change
 lands)::
 
-    PYTHONPATH=src python tests/core/test_runner_parity.py --regenerate
+    PYTHONPATH=src:tests python tests/core/test_runner_parity.py --regenerate
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ def test_replay_matches_golden_fixture(golden_cases, name, backend, monkeypatch)
     path = GOLDEN_DIR / f"{name}.json"
     assert path.exists(), (
         f"golden fixture {path} missing; regenerate with "
-        "`PYTHONPATH=src python tests/core/test_runner_parity.py --regenerate`"
+        "`PYTHONPATH=src:tests python tests/core/test_runner_parity.py --regenerate`"
     )
     expected = json.loads(path.read_text())
     actual = result_to_jsonable(golden_cases[name]())

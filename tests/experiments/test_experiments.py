@@ -4,9 +4,15 @@ These use heavily scaled-down configurations so they run quickly; the full
 configurations are exercised by the benchmark suite.
 """
 
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 
 import repro.experiments as ex
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 class TestConfigTables:
@@ -80,6 +86,16 @@ class TestMeasuredExperiments:
     def test_table5_mostly_monotonic(self):
         rows = ex.run_table5(tasks=("S",), tolerances_pct=(5.0,))
         assert ex.overall_monotonic_fraction(rows, 5.0) > 0.8
+
+    def test_table5_rows_match_per_point_estimates(self):
+        # Each sweep is priced by one non-strict estimate_batch call and
+        # reused at every tolerance.  The golden rows were generated by the
+        # loop it replaced (one strict estimate() per point and tolerance,
+        # ValueError/KeyError read as NaN) and compare under == (JSON
+        # round-trips floats exactly).
+        golden = json.loads((GOLDEN_DIR / "table5_rows.json").read_text())
+        rows = ex.run_table5(tasks=("S", "T"), tolerances_pct=(2.0, 5.0, 10.0))
+        assert [dataclasses.asdict(r) for r in rows] == golden
 
     def test_table6_throughput_increases_with_relaxed_bounds(self):
         rows = ex.run_table6()
