@@ -26,6 +26,8 @@ class RunResult:
             token), in trace-request order.
         completion_times_s: Per-request completion timestamps, in the same
             order; used for steady-state throughput windows.
+        output_lengths: Per-request output lengths, in the same order; the
+            SLA-(b) measure reads them.
         warmup_requests: Number of leading requests admitted during the
             initial pool fill; latency statistics can exclude them.
         stage_utilization: Busy fraction per pipeline stage.
@@ -40,14 +42,24 @@ class RunResult:
     makespan_s: float
     num_requests: int
     total_generated_tokens: int
-    latencies_s: tuple[float, ...]
-    completion_times_s: tuple[float, ...] = ()
-    output_lengths: tuple[int, ...] = ()
+    latencies_s: np.ndarray
+    completion_times_s: np.ndarray = ()
+    output_lengths: np.ndarray = ()
     warmup_requests: int = 0
     stage_utilization: dict[object, float] = field(default_factory=dict)
     stage_times: dict[str, tuple[float, ...]] = field(default_factory=dict)
     peak_memory_gib: dict[object, float] = field(default_factory=dict)
     extra: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # The per-request columns are arrays (no copy when they already are).
+        for name, dtype in (
+            ("latencies_s", float),
+            ("completion_times_s", float),
+            ("output_lengths", np.int64),
+        ):
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            object.__setattr__(self, name, column)
 
     # -- throughput ---------------------------------------------------------------
 
@@ -76,7 +88,7 @@ class RunResult:
         """
         if not 0 <= trim < 0.5:
             raise ValueError("trim must be in [0, 0.5)")
-        times = np.sort(np.asarray(self.completion_times_s, dtype=float))
+        times = np.sort(self.completion_times_s)
         if times.size < 10 or trim == 0:
             return self.throughput_seq_per_s
         lo = int(times.size * trim)
@@ -100,13 +112,13 @@ class RunResult:
         initial pool fill, whose encode phases are atypically large) are
         excluded, mirroring steady-state measurement.
         """
-        if not self.latencies_s:
+        if len(self.latencies_s) == 0:
             return 0.0
         if not 0 <= q <= 100:
             raise ValueError("q must be in [0, 100]")
-        values = np.asarray(self.latencies_s)
-        if skip_warmup and 0 < self.warmup_requests < len(values):
-            values = values[self.warmup_requests:]
+        values = self.latencies_s
+        if skip_warmup:
+            values = self._after_warmup(values)
         return float(np.percentile(values, q))
 
     @property
@@ -117,39 +129,32 @@ class RunResult:
     @property
     def mean_latency_s(self) -> float:
         """Mean request latency."""
-        if not self.latencies_s:
+        if len(self.latencies_s) == 0:
             return 0.0
         return float(np.mean(self.latencies_s))
 
     @property
     def max_latency_s(self) -> float:
         """Worst-case request latency."""
-        if not self.latencies_s:
+        if len(self.latencies_s) == 0:
             return 0.0
         return float(np.max(self.latencies_s))
 
     def reference_length_latency(self, target_length: int) -> float:
-        """Worst latency among requests of at most ``target_length`` tokens.
+        """The SLA-(b) measure (:func:`reference_length_latency`) over the
+        requests after the warm-up."""
+        return reference_length_latency(
+            self._after_warmup(self.latencies_s),
+            self._after_warmup(self.output_lengths),
+            target_length,
+        )
 
-        This is the SLA-(b) measurement of the paper: the latency bound
-        applies to generating a sequence of a pre-specified (99th-percentile)
-        length, so only requests up to that length are held against it.
-        Warm-up requests are excluded.  Falls back to the skip-warmup p99
-        when per-request lengths were not recorded.
-        """
-        if target_length < 1:
-            raise ValueError("target_length must be >= 1")
-        if not self.output_lengths or len(self.output_lengths) != len(self.latencies_s):
-            return self.latency_percentile(99.0, skip_warmup=True)
-        latencies = np.asarray(self.latencies_s)
-        lengths = np.asarray(self.output_lengths)
-        start = self.warmup_requests if 0 < self.warmup_requests < len(latencies) else 0
-        latencies = latencies[start:]
-        lengths = lengths[start:]
-        mask = lengths <= target_length
-        if not np.any(mask):
-            return self.latency_percentile(99.0, skip_warmup=True)
-        return float(np.max(latencies[mask]))
+    def _after_warmup(self, column: np.ndarray) -> np.ndarray:
+        """``column`` without the leading ``warmup_requests`` rows (all of
+        it when the warm-up is empty or covers every request)."""
+        if 0 < self.warmup_requests < len(column):
+            return column[self.warmup_requests:]
+        return column
 
     # -- stage-time variance (Table 7) ------------------------------------------------
 
@@ -184,7 +189,8 @@ def collect_pool_result(
     """Assemble a :class:`RunResult` from a request pool's columns.
 
     Latencies, completion times and output lengths come out of the pool
-    in one vectorized pass (``pool.completion_arrays``).
+    in one vectorized pass (``pool.completion_arrays``) and are kept as
+    the result's columns.
 
     Raises:
         ValueError: if any request is unfinished or missing timestamps.
@@ -195,12 +201,35 @@ def collect_pool_result(
         makespan_s=makespan_s,
         num_requests=int(ids.size),
         total_generated_tokens=tokens,
-        latencies_s=tuple(latencies.tolist()),
-        completion_times_s=tuple(completions.tolist()),
-        output_lengths=tuple(lengths.tolist()),
+        latencies_s=latencies,
+        completion_times_s=completions,
+        output_lengths=lengths,
         warmup_requests=max(int(warmup_requests), 0),
         stage_utilization=dict(stage_utilization or {}),
         stage_times={k: tuple(v) for k, v in (stage_times or {}).items()},
         peak_memory_gib=dict(peak_memory_gib or {}),
         extra=dict(extra or {}),
     )
+
+
+def reference_length_latency(
+    latencies_s: np.ndarray, output_lengths: np.ndarray, target_length: int
+) -> float:
+    """The paper's SLA-(b) measure (Section 7.6) over one latency column.
+
+    The bound is set for generating a sequence of a pre-specified length,
+    so the measure is the worst latency among requests of at most
+    ``target_length`` output tokens; the column's p99 when no request is
+    that short, and 0 for an empty column.  ``output_lengths`` holds the
+    same requests' output lengths, row for row.
+    """
+    if target_length < 1:
+        raise ValueError("target_length must be >= 1")
+    if len(output_lengths) != len(latencies_s):
+        raise ValueError("output_lengths must have one row per latency")
+    if len(latencies_s) == 0:
+        return 0.0
+    short = output_lengths <= target_length
+    if not short.any():
+        return float(np.percentile(latencies_s, 99.0))
+    return float(latencies_s[short].max())

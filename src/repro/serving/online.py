@@ -10,9 +10,9 @@ per-request records of
 * **TTFT** -- time to first generated token, measured from arrival, and
 * **end-to-end latency** -- completion time minus arrival time,
 
-from which SLO attainment is evaluated with the existing
-:class:`~repro.serving.sla.SLA` machinery (the SLA is applied to the
-*end-to-end* latency, so queueing at overload shows up as SLO violations).
+from which SLO attainment is evaluated: an :class:`~repro.serving.sla.SLA`
+reads the result's own end-to-end latency column (arrival to completion,
+so queueing at overload shows up as SLO violations).
 
 Two server drivers are provided:
 
@@ -72,7 +72,7 @@ from repro.core.config import ScheduleConfig, require_count
 from repro.core.dynamic import DynamicWorkloadAdjuster
 from repro.core.simulator import XSimulator
 from repro.engine.execution import ExecutionEngine, KVHandover, TaskRef
-from repro.engine.metrics import RunResult
+from repro.engine.metrics import reference_length_latency
 from repro.engine.pool import EMPTY_IDS, RequestPool, scatter_last
 from repro.engine.timeline import Timeline
 from repro.serving.sla import SLA
@@ -199,13 +199,9 @@ class RecordSequence:
         first_token_s: np.ndarray,
         finish_s: np.ndarray,
         rejected: np.ndarray,
-        shed: np.ndarray | None = None,
-        preempted: np.ndarray | None = None,
+        shed: np.ndarray,
+        preempted: np.ndarray,
     ) -> None:
-        if shed is None:
-            shed = np.zeros(rejected.shape[0], dtype=bool)
-        if preempted is None:
-            preempted = np.zeros(rejected.shape[0], dtype=np.int64)
         self._arrays = (
             request_id, input_len, output_len, arrival_s,
             admitted_s, first_token_s, finish_s, rejected,
@@ -363,16 +359,14 @@ class OnlineResult:
     access, from a single pass over the records (:attr:`_columns`) and
     cached -- rate sweeps touch ``completed``/``rejected``/percentiles many
     times per run, and the historical per-access record scans were O(n)
-    each.  The records are snapshotted by that first access; they are not
-    meant to change after construction.  Results built by a serve carry a
-    :class:`RecordSequence` (records boxed on demand from columns); a plain
-    tuple of records is still accepted and scanned as before.
+    each.  The records are a :class:`RecordSequence` (records boxed on
+    demand from columns); they are not meant to change after construction.
 
     Attributes:
         system: Serving system name.
         scenario: Traffic scenario name ("" when the trace carried arrivals).
         offered_rate_qps: Mean offered arrival rate (0 when unknown).
-        records: Per-request records, in request order.
+        records: Per-request records, in request order, as columns.
         makespan_s: Simulated time from 0 to the last completion.
         extra: Free-form driver measurements (iterations, peak KV, ...).
     """
@@ -380,7 +374,7 @@ class OnlineResult:
     system: str
     scenario: str
     offered_rate_qps: float
-    records: "tuple[OnlineRequestRecord, ...] | RecordSequence"
+    records: RecordSequence
     makespan_s: float
     extra: dict[str, float] = field(default_factory=dict)
 
@@ -388,45 +382,32 @@ class OnlineResult:
 
     @cached_property
     def _columns(self) -> Mapping[str, np.ndarray]:
-        """The aggregate columns every aggregate derives from: a view that
-        reads a :class:`RecordSequence` one column at a time (so a fleet
-        replica's result gathers only the columns its aggregates read), or
-        one pass over a tuple of records."""
-        records = self.records
-        if isinstance(records, RecordSequence):
-            return _ColumnView(records)
-        return {
-            "arrival": np.array([r.arrival_s for r in records], dtype=float),
-            "admitted": np.array([r.admitted_s for r in records], dtype=float),
-            "first_token": np.array(
-                [r.first_token_s for r in records], dtype=float
-            ),
-            "finish": np.array([r.finish_s for r in records], dtype=float),
-            "rejected": np.array([r.rejected for r in records], dtype=bool),
-            "shed": np.array(
-                [getattr(r, "shed", False) for r in records], dtype=bool
-            ),
-            "preempted": np.array(
-                [getattr(r, "preempted", 0) for r in records], dtype=np.int64
-            ),
-            "output_len": np.array(
-                [r.output_len for r in records], dtype=np.int64
-            ),
-        }
+        """The aggregate columns every aggregate derives from, read from
+        the records one column at a time (so a fleet replica's result
+        gathers only the columns its aggregates read)."""
+        return _ColumnView(self.records)
 
     @cached_property
     def _completed_mask(self) -> np.ndarray:
         return self._columns["finish"] >= 0.0
 
     @cached_property
-    def _latency_values(self) -> dict[str, np.ndarray]:
-        """Non-negative per-metric latencies of completed requests."""
+    def _latencies(self) -> np.ndarray:
+        """End-to-end latency of every completed request, in record order
+        (row for row with the completed rows of any other column): the
+        column every SLA reads."""
+        cols = self._columns
+        mask = self._completed_mask
+        return cols["finish"][mask] - cols["arrival"][mask]
+
+    @cached_property
+    def _delays(self) -> dict[str, np.ndarray]:
+        """Non-negative TTFTs and queueing delays of completed requests."""
         cols = self._columns
         mask = self._completed_mask
         arrival = cols["arrival"][mask]
         values: dict[str, np.ndarray] = {}
         for name, column in (
-            ("latency_s", cols["finish"]),
             ("ttft_s", cols["first_token"]),
             ("queue_delay_s", cols["admitted"]),
         ):
@@ -504,26 +485,23 @@ class OnlineResult:
 
     # -- latency statistics ------------------------------------------------------
 
-    def _completed_values(self, attribute: str) -> np.ndarray:
-        return self._latency_values[attribute]
-
     def latency_percentile(self, q: float) -> float:
         """End-to-end latency percentile over completed requests."""
-        values = self._completed_values("latency_s")
+        values = self._latencies
         if values.size == 0:
             return 0.0
         return float(np.percentile(values, q))
 
     def ttft_percentile(self, q: float) -> float:
         """TTFT percentile over completed requests."""
-        values = self._completed_values("ttft_s")
+        values = self._delays["ttft_s"]
         if values.size == 0:
             return 0.0
         return float(np.percentile(values, q))
 
     def queue_delay_percentile(self, q: float) -> float:
         """Queueing-delay percentile over completed requests."""
-        values = self._completed_values("queue_delay_s")
+        values = self._delays["queue_delay_s"]
         if values.size == 0:
             return 0.0
         return float(np.percentile(values, q))
@@ -531,34 +509,19 @@ class OnlineResult:
     @property
     def mean_latency_s(self) -> float:
         """Mean end-to-end latency of completed requests."""
-        values = self._completed_values("latency_s")
+        values = self._latencies
         if values.size == 0:
             return 0.0
         return float(values.mean())
 
     # -- SLO evaluation ------------------------------------------------------------
 
-    def to_run_result(self) -> RunResult:
-        """Completed requests as a :class:`RunResult` for the SLA machinery.
-
-        Latencies are *end-to-end* (arrival to completion, queueing included),
-        which is what an online SLO constrains.
-        """
-        cols = self._columns
-        mask = self._completed_mask
-        finish = cols["finish"][mask]
-        arrival = cols["arrival"][mask]
-        output_lens = cols["output_len"][mask]
-        return RunResult(
-            system=self.system,
-            makespan_s=self.makespan_s,
-            num_requests=int(finish.size),
-            total_generated_tokens=int(output_lens.sum()),
-            latencies_s=tuple((finish - arrival).tolist()),
-            completion_times_s=tuple(finish.tolist()),
-            output_lengths=tuple(output_lens.tolist()),
-            extra=dict(self.extra),
-        )
+    def reference_length_latency(self, target_length: int) -> float:
+        """The SLA-(b) measure (:func:`~repro.engine.metrics.
+        reference_length_latency`) over the completed requests' end-to-end
+        latencies."""
+        lengths = self._columns["output_len"][self._completed_mask]
+        return reference_length_latency(self._latencies, lengths, target_length)
 
     def attainment(self, sla: SLA) -> float:
         """Fraction of *offered* requests completing within the SLA bound.
@@ -569,10 +532,7 @@ class OnlineResult:
         """
         if not self.records:
             return 1.0
-        cols = self._columns
-        mask = self._completed_mask
-        latencies = cols["finish"][mask] - cols["arrival"][mask]
-        hits = int(np.count_nonzero(latencies <= sla.bound_s))
+        hits = int(np.count_nonzero(self._latencies <= sla.bound_s))
         return hits / len(self.records)
 
     def satisfies(self, sla: SLA, max_rejection_rate: float = 0.0) -> bool:
@@ -587,7 +547,7 @@ class OnlineResult:
             return False
         if self.drop_rate > max_rejection_rate:
             return False
-        return sla.satisfied(self.to_run_result())
+        return sla.satisfied(self)
 
     @classmethod
     def from_columns(

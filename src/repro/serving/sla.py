@@ -7,15 +7,24 @@ latency SLAs:
 * **SLA-(b)** -- a query generating a pre-specified length (typically the
   99th-percentile output length) must complete within the bound.
 
-Both are evaluated against a :class:`~repro.engine.metrics.RunResult`.
+Both are evaluated against a result's own latency column: an offline
+:class:`~repro.engine.metrics.RunResult` or an online
+:class:`~repro.serving.online.OnlineResult`, whose latencies are end to end
+(arrival to completion).  SLA-(b) is
+:func:`~repro.engine.metrics.reference_length_latency` on either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from repro.engine.metrics import RunResult
+from repro.core.config import require_count
+
+if TYPE_CHECKING:
+    from repro.engine.metrics import RunResult
+    from repro.serving.online import OnlineResult
 
 
 class SLAKind(str, Enum):
@@ -34,8 +43,9 @@ class SLA:
             reference-length query).
         bound_s: The latency bound in seconds.
         percentile: Percentile used by SLA-(a).
-        reference_length: Output length used by SLA-(b); informational here
-            because the runner measures per-request latencies directly.
+        reference_length: Output length of SLA-(b)'s reference query
+            (required for SLA-(b), an integer >= 1): only requests of at
+            most this many output tokens are held against the bound.
     """
 
     kind: SLAKind
@@ -44,31 +54,29 @@ class SLA:
     reference_length: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", SLAKind(self.kind))
         if self.bound_s <= 0:
             raise ValueError("bound_s must be positive")
         if not 0 < self.percentile <= 100:
             raise ValueError("percentile must be in (0, 100]")
+        if self.kind is SLAKind.REFERENCE_LENGTH:
+            require_count("reference_length", self.reference_length)
 
-    def satisfied(self, result: RunResult) -> bool:
+    def satisfied(self, result: RunResult | OnlineResult) -> bool:
         """Whether a measured run satisfies the SLA."""
         return self.violation(result) <= 0.0
 
-    def violation(self, result: RunResult) -> float:
+    def violation(self, result: RunResult | OnlineResult) -> float:
         """Seconds by which the run misses the SLA (<= 0 means satisfied)."""
         return self.observed_latency(result) - self.bound_s
 
-    def observed_latency(self, result: RunResult) -> float:
+    def observed_latency(self, result: RunResult | OnlineResult) -> float:
         """The latency statistic the SLA is evaluated against."""
         if self.kind is SLAKind.QUERY_PERCENTILE:
             return result.latency_percentile(self.percentile)
-        if self.reference_length is None:
-            return result.latency_percentile(self.percentile)
-        # SLA-(b): latency of queries near the reference length; approximate
-        # with the max latency, which the forced-length evaluation makes the
-        # reference-length query's latency.
-        return result.max_latency_s
+        return result.reference_length_latency(self.reference_length)
 
-    def required_margin(self, result: RunResult) -> float:
+    def required_margin(self, result: RunResult | OnlineResult) -> float:
         """Fraction by which the bound must tighten for the run to comply.
 
         Used in Section 7.6 to report, e.g., "a 13% tighter latency

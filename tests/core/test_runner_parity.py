@@ -198,9 +198,9 @@ def result_to_jsonable(result: RunResult) -> dict:
         "makespan_s": result.makespan_s,
         "num_requests": result.num_requests,
         "total_generated_tokens": result.total_generated_tokens,
-        "latencies_s": list(result.latencies_s),
-        "completion_times_s": list(result.completion_times_s),
-        "output_lengths": list(result.output_lengths),
+        "latencies_s": result.latencies_s.tolist(),
+        "completion_times_s": result.completion_times_s.tolist(),
+        "output_lengths": result.output_lengths.tolist(),
         "warmup_requests": result.warmup_requests,
         "stage_utilization": {
             repr(k): v for k, v in result.stage_utilization.items()

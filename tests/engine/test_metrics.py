@@ -32,6 +32,8 @@ class TestCollectResult:
         assert result.throughput_tokens_per_s == pytest.approx(80 / 20.0)
         assert result.mean_latency_s == pytest.approx(6.5)
         assert result.max_latency_s == pytest.approx(11.0)
+        assert result.latencies_s.dtype == result.completion_times_s.dtype == float
+        assert result.output_lengths.dtype == np.int64
 
     def test_unfinished_request_rejected(self):
         pool = RequestPool.from_arrays(np.array([4]), np.array([4]))
@@ -56,6 +58,12 @@ class TestCollectResult:
         result = collect(pool, makespan_s=10.0)
         assert result.reference_length_latency(16) == pytest.approx(2.0)
         assert result.max_latency_s == pytest.approx(50.0)
+        unrecorded = RunResult(
+            system="x", makespan_s=1.0, num_requests=2,
+            total_generated_tokens=0, latencies_s=(1.0, 2.0),
+        )
+        with pytest.raises(ValueError, match="output_lengths"):
+            unrecorded.reference_length_latency(16)
 
     def test_steady_state_throughput_fallback_for_small_traces(self):
         result = collect(_completed([1.0] * 5), makespan_s=5.0)

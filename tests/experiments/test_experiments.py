@@ -77,6 +77,18 @@ class TestMeasuredExperiments:
         assert speedups
         assert max(speedups.values()) > 1.0
 
+    def test_figure6_7_rows_match_golden(self):
+        # The rows of the two subsets above, pinned before the offline
+        # measurement and SLA-(b) moved onto numpy result columns; they
+        # compare under == (JSON round-trips floats exactly).
+        golden = json.loads((GOLDEN_DIR / "figure6_7_rows.json").read_text())
+        figure6 = ex.run_figure6(
+            models=("OPT-13B",), tasks=("S",), num_requests=320, bounds_subset=(0, 3)
+        )
+        figure7 = ex.run_figure7(tasks=("S",), num_requests=160, bounds_subset=(1, 3))
+        assert [dataclasses.asdict(r) for r in figure6] == golden["figure6"]
+        assert [dataclasses.asdict(r) for r in figure7] == golden["figure7"]
+
     def test_figure9_subset_reports_both_systems(self):
         rows = ex.run_figure9(models=("OPT-13B",), tasks=("T",))
         systems = {r.system for r in rows}

@@ -158,21 +158,18 @@ class TestSLAIntegration:
             assert higher <= lower + 0.05
         assert attainments[-1] < attainments[0]
 
-    def test_to_run_result_feeds_sla(
+    def test_satisfies_holds_exactly_at_the_p99(
         self, tiny_profile, short_input_dist, short_output_dist, base_trace
     ):
+        """The SLA reads the result's own latency column: a bound at the
+        p99 holds and the next float below it fails."""
         server = make_orca_server(tiny_profile, short_input_dist, short_output_dist)
         online = attach_arrivals(base_trace, PoissonProcess(5.0), seed=3)
         result = server.serve(online)
-        run_result = result.to_run_result()
-        assert run_result.num_requests == result.completed
-        assert run_result.p99_latency_s == pytest.approx(
-            result.latency_percentile(99.0)
-        )
-        generous = SLA(kind=SLAKind.QUERY_PERCENTILE, bound_s=1000.0)
-        harsh = SLA(kind=SLAKind.QUERY_PERCENTILE, bound_s=1e-6)
-        assert result.satisfies(generous)
-        assert not result.satisfies(harsh)
+        p99 = result.latency_percentile(99.0)
+        assert result.satisfies(SLA(kind=SLAKind.QUERY_PERCENTILE, bound_s=p99))
+        below = SLA(kind=SLAKind.QUERY_PERCENTILE, bound_s=np.nextafter(p99, 0))
+        assert not result.satisfies(below)
 
     def test_rejections_break_sustainability(
         self, tiny_profile, short_input_dist, short_output_dist, base_trace
@@ -200,20 +197,14 @@ class TestAggregateCaching:
     """
 
     def _result(self):
-        from repro.serving.online import OnlineRequestRecord
+        from repro.serving.online import RecordSequence
 
-        records = tuple(
-            OnlineRequestRecord(
-                request_id=i,
-                input_len=8,
-                output_len=4,
-                arrival_s=0.1 * i,
-                admitted_s=0.1 * i + 0.05,
-                first_token_s=0.1 * i + 0.2,
-                finish_s=0.1 * i + 1.0 if i % 3 else -1.0,
-                rejected=(i % 3 == 0),
-            )
-            for i in range(30)
+        i = np.arange(30)
+        rejected = i % 3 == 0
+        records = RecordSequence(
+            i, np.full(30, 8), np.full(30, 4), 0.1 * i,
+            0.1 * i + 0.05, 0.1 * i + 0.2, np.where(rejected, -1.0, 0.1 * i + 1.0),
+            rejected, np.zeros(30, dtype=bool), np.zeros(30, dtype=np.int64),
         )
         return OnlineResult(
             system="t", scenario="s", offered_rate_qps=1.0,
@@ -233,12 +224,11 @@ class TestAggregateCaching:
     def test_aggregates_scan_records_once(self):
         result = self._result()
         before = result.completed
-        assert "_columns" in result.__dict__  # summary pass ran and cached
-        # Mutating a record after the first access must not change the
-        # aggregates: they come from the cached columns, not a re-scan.
-        result.records[1].finish_s = -1.0
+        assert "_completed_mask" in result.__dict__  # summary pass ran and cached
+        # Writing a record column after the first access must not change the
+        # aggregates: they come from the cached mask, not a re-scan.
+        result.records.columns()["finish"][1] = -1.0
         assert result.completed == before
-        assert result.to_run_result().num_requests == before
 
 
 class TestQueueBoundSemantics:

@@ -144,6 +144,17 @@ class TestReplicaRecords:
             assert replica.attainment(sla) == eager.attainment(sla)
             assert replica.achieved_qps == eager.achieved_qps
 
+    def test_satisfies_holds_exactly_at_the_p99(self, served):
+        """The fleet's and each replica's SLA reads that result's own
+        latency column: a bound at its p99 holds and the next float below
+        it fails (drops are allowed, so only the latency decides)."""
+        for result in (served.fleet, *served.replicas):
+            p99 = result.latency_percentile(99.0)
+            at = SLA(kind=SLAKind.QUERY_PERCENTILE, bound_s=p99)
+            below = SLA(kind=SLAKind.QUERY_PERCENTILE, bound_s=np.nextafter(p99, 0))
+            assert result.satisfies(at, max_rejection_rate=1.0)
+            assert not result.satisfies(below, max_rejection_rate=1.0)
+
     def test_a_column_is_gathered_on_its_first_read(self, served):
         records = served.replicas[0].records
         assert records._rows is None
@@ -157,6 +168,11 @@ class TestReplicaRecords:
         served.replicas[0].completed
         assert records._arrays[6] is finish
         assert not np.shares_memory(finish, served.fleet.records.columns()["finish"])
+        # Attainment reads the latency column: arrival and finish alone.
+        served.replicas[0].attainment(SLA(kind=SLAKind.QUERY_PERCENTILE, bound_s=1.0))
+        assert [column is not None for column in records._arrays] == (
+            [False] * 3 + [True] + [False] * 2 + [True] + [False] * 3
+        )
 
 
 class TestRetainedMemory:
