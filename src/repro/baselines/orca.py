@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.baselines.base import BaselineSystem
 from repro.core.config import require_count
-from repro.engine.execution import TaskRef
+from repro.engine.execution import ExecutionEngine, IterationPlan, TaskRef
 from repro.engine.kv_manager import ContiguousKVCache, KVCacheError
 from repro.engine.metrics import RunResult, collect_pool_result
 from repro.engine.pool import EMPTY_IDS, RequestPool
@@ -65,7 +65,7 @@ class Orca(BaselineSystem):
         admission_wait = per_iter * self.input_distribution.mean / max(avg_in, 1.0)
         return admission_wait + target * per_iter
 
-    # -- KV management -------------------------------------------------------------------
+    # -- KV management (the cache flavour and ``_admit`` are vLLM's hooks) ----------
 
     def _make_kv_cache(self) -> ContiguousKVCache:
         return ContiguousKVCache(
@@ -74,7 +74,8 @@ class Orca(BaselineSystem):
             capacity_bytes=self.kv_capacity(),
         )
 
-    def _reserve(self, cache: ContiguousKVCache, pool, rid: int) -> bool:
+    def _admit(self, cache, pool, rid: int) -> bool:
+        """Reserve ``rid``'s maximum-length KV state; False if it does not fit."""
         max_tokens = pool.input_len_of(rid) + self.output_distribution.max_len
         try:
             cache.reserve(pool.request_id_of(rid), max_tokens)
@@ -82,66 +83,105 @@ class Orca(BaselineSystem):
             return False
         return True
 
+    def _release(self, cache, pool, rid: int) -> None:
+        cache.release(pool.request_id_of(rid))
+
+    def _release_batch(self, cache, pool, ids: np.ndarray) -> None:
+        """Free the KV state of every id in one trace-id gather and one
+        ``release_many``; both cache flavours pop from a dict keyed by
+        trace id, so this covers ORCA and vLLM alike."""
+        if ids.size:
+            cache.release_many(pool.request_ids_of(ids).tolist())
+
     # -- execution ----------------------------------------------------------------------
+
+    def cycle(
+        self,
+        engine: ExecutionEngine,
+        cache,
+        batch_size: int,
+        active: np.ndarray,
+        pending: np.ndarray,
+        plan: IterationPlan | None = None,
+        prev_last: object | None = None,
+        release_s: float = 0.0,
+    ) -> tuple[np.ndarray, int, TaskRef]:
+        """One continuous-batching cycle: admit, emit, release, compact.
+
+        Admits the head of ``pending`` (waiting ids, oldest first) under the
+        ``batch_size`` cap, ``max_prefills_per_iteration`` and :meth:`_admit`,
+        then decodes ``active`` one token while the admitted ids prefill,
+        chained on ``prev_last`` and released at ``release_s``: into ``plan``
+        through ``ExecutionEngine.mixed_iteration`` when one is passed, else
+        through ``mixed_decode_template``.  Completed ids free their KV
+        state.  The offline :meth:`run`, the online server and its plan-loop
+        test oracle all run this body.  Returns the compacted running batch,
+        how many ids of ``pending`` it admitted and the cycle's last stage
+        task; raises ``RuntimeError`` if nothing runs and the first pending
+        id does not fit.
+        """
+        pool = engine.pool
+        limit = min(
+            pending.size, batch_size - active.size, self.max_prefills_per_iteration
+        )
+        count = 0
+        while count < limit and self._admit(cache, pool, int(pending[count])):
+            count += 1
+        if not count and not active.size:
+            raise RuntimeError(
+                f"{self.name} cannot admit any request: KV cache too small for one query"
+            )
+        admitted = pending[:count]
+        stages = self.placement.stages
+        if plan is None:
+            outcome = engine.mixed_decode_template(
+                stages, active, prev_last=prev_last, release_s=release_s,
+                admitted=admitted,
+            )
+        else:
+            outcome = engine.mixed_iteration(
+                plan, stages, active, admitted, prev_last=prev_last,
+                release_s=release_s,
+            )
+        self._release_batch(cache, pool, outcome.completed)
+        if count:
+            active = np.concatenate([active, admitted])
+        return pool.compact(active), count, outcome.last
 
     def run(self, trace: WorkloadTrace, batch_size: int) -> RunResult:
         """Replay the trace with iteration-level continuous batching.
 
-        Every iteration is an :meth:`ExecutionEngine.mixed_iteration` (pool
-        decodes plus the admitted prefills) collected into one whole-replay
-        plan -- admission depends only on request/KV state, never on task
-        times -- so all stage durations resolve in a handful of batched
-        profile lookups at commit time.  The running batch is an id array
-        over the columnar request pool, compacted through the done mask
-        once per iteration.
+        Every iteration is one :meth:`cycle` over the not yet admitted ids,
+        in trace order, planned into one whole-replay plan: admission
+        depends only on request and KV state, never on task times, so all
+        stage durations resolve in a handful of batched profile lookups at
+        commit time.
         """
         require_count("batch_size", batch_size)
-        stages = self.placement.stages
         timeline = Timeline()
         pool = RequestPool.from_trace(trace)
         engine = self.make_engine(timeline, pool)
         plan = engine.plan()
         all_ids = pool.ids()
         total = all_ids.size
+        # A cycle admits a request or decodes a token of each running one,
+        # so a replay takes at most requests + output tokens cycles.
+        max_iterations = total + trace.total_output_tokens
         pos = 0  # pending requests are all_ids[pos:], in trace order
         active = EMPTY_IDS
         cache = self._make_kv_cache()
-        prev_iteration_last: TaskRef | None = None
+        last: TaskRef | None = None
         iterations = 0
 
         while pos < total or active.size:
-            # --- admission: up to `max_prefills_per_iteration` new requests -------
-            admitted: list[int] = []
-            while (
-                pos < total
-                and active.size + len(admitted) < batch_size
-                and len(admitted) < self.max_prefills_per_iteration
-            ):
-                candidate = int(all_ids[pos])
-                if not self._admit(cache, pool, candidate):
-                    break
-                pos += 1
-                admitted.append(candidate)
-
-            if not active.size and not admitted:
-                if pos >= total:
-                    break
-                raise RuntimeError(
-                    "ORCA cannot admit any request: KV cache too small for one query"
-                )
-
-            # --- one iteration: decodes of the pool + prefills of the admitted -----
-            admitted_ids = np.asarray(admitted, dtype=np.int64)
-            outcome = engine.mixed_iteration(
-                plan, stages, active, admitted_ids, prev_last=prev_iteration_last
+            active, admitted, last = self.cycle(
+                engine, cache, batch_size, active, all_ids[pos:], plan=plan,
+                prev_last=last,
             )
-            prev_iteration_last = outcome.last
-
-            self._release_batch(cache, pool, outcome.completed)
-            active = pool.compact(np.concatenate([active, admitted_ids]))
+            pos += admitted
             iterations += 1
-            if iterations > 500000:
-                raise RuntimeError("ORCA runner did not converge")
+            if iterations > max_iterations:
+                raise RuntimeError(f"{self.name} runner did not converge")
 
         engine.commit(plan)
         engine.bookkeeping.resolve(timeline)
@@ -158,21 +198,3 @@ class Orca(BaselineSystem):
                 "peak_kv_gib": cache.peak_bytes / (1024 ** 3),
             },
         )
-
-    # -- hooks overridden by the vLLM subclass ---------------------------------------
-
-    def _admit(self, cache, pool, rid: int) -> bool:
-        return self._reserve(cache, pool, rid)
-
-    def _release(self, cache, pool, rid: int) -> None:
-        cache.release(pool.request_id_of(rid))
-
-    def _release_batch(self, cache, pool, ids: np.ndarray) -> None:
-        """Free the KV state of every id in one batched epilogue call.
-
-        One trace-id gather plus one ``release_many`` replaces the historical
-        per-id ``_release`` loop; both cache flavours pop from a dict keyed
-        by trace id, so the batch form covers ORCA and vLLM alike.
-        """
-        if ids.size:
-            cache.release_many(pool.request_ids_of(ids).tolist())

@@ -49,6 +49,3 @@ class Vllm(Orca):
         except KVCacheError:
             return False
         return True
-
-    def _release(self, cache: PagedKVCache, pool, rid: int) -> None:
-        cache.release(pool.request_id_of(rid))

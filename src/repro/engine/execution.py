@@ -583,12 +583,10 @@ class MixedOutcome:
     """Result of planning one continuous-batching iteration.
 
     Attributes:
-        first: First stage task of the iteration (admission timestamps).
         last: Last stage task (first-token/completion timestamps).
         completed: Ids of requests that finished in this iteration.
     """
 
-    first: TaskRef | None
     last: TaskRef | None
     completed: np.ndarray
 
@@ -1181,9 +1179,9 @@ class ExecutionEngine:
         exactly what makes prefill-carrying iterations long -- the
         latency-variability effect the paper highlights.  Admission
         bookkeeping binds to the first stage task, first-token/completion
-        bookkeeping to the last.  The offline ORCA/vLLM replays plan every
-        cycle through here; the online server emits the same cycle without
-        a plan through :meth:`mixed_decode_template`.
+        bookkeeping to the last.  ``Orca.cycle`` plans through here when
+        its caller passes a plan (the offline ORCA/vLLM replays), else emits
+        the same cycle through :meth:`mixed_decode_template`.
         """
         key = _identity_key
         pool = self.pool
@@ -1226,14 +1224,9 @@ class ExecutionEngine:
             if first is None:
                 first = ref
             prev = ref
-        if admitted.size:
-            self.bookkeeping.encode_starts.append((admitted, first))
-        first_ids, completed = pool.advance(alive)
-        if first_ids.size:
-            self.bookkeeping.first_tokens.append((first_ids, prev))
-        if completed.size:
-            self.bookkeeping.completions.append((completed, prev))
-        return MixedOutcome(first=first, last=prev, completed=completed)
+        return MixedOutcome(
+            last=prev, completed=self._advance(alive, admitted, first, prev)
+        )
 
     def mixed_decode_template(
         self,
@@ -1245,11 +1238,11 @@ class ExecutionEngine:
     ) -> MixedOutcome:
         """One online continuous-batching cycle, emitted without a plan.
 
-        Every cycle of the online continuous-batching server goes through
-        here, admitting or not.  A cycle has a fixed shape: per stage, one
-        decode component for the running batch ``alive`` (when it is
-        non-empty), then one single-request prefill per ``admitted`` id,
-        in the order :meth:`mixed_iteration` pushes them.  Each component
+        ``Orca.cycle`` emits through here when its caller passes no plan:
+        every online cycle, admitting or not.  A cycle has a fixed shape:
+        per stage, one decode component for the running batch ``alive``
+        (when it is non-empty), then one single-request prefill per
+        ``admitted`` id, in the order :meth:`mixed_iteration` pushes them.  Each component
         is priced straight from Python floats by :func:`price_item`, a
         stage's duration is ``0.0`` plus its components in that order (the
         sum ``commit`` forms), and the stage tasks go onto the timeline
@@ -1307,14 +1300,24 @@ class ExecutionEngine:
             deps = (last_tid,)
             release = 0.0
             stage_times.append(duration)
+        return MixedOutcome(
+            last=TaskRef(last_tid),
+            completed=self._advance(alive, admitted, first_tid, last_tid),
+        )
+
+    def _advance(
+        self, alive: np.ndarray, admitted: np.ndarray, first: object, last: object
+    ) -> np.ndarray:
+        """Both continuous-batching emitters' bookkeeping: encode starts of
+        ``admitted`` at the first stage task, then ``alive`` advances one
+        token, with first tokens and completions at the last.  Returns the
+        ids that completed."""
         bookkeeping = self.bookkeeping
         if admitted.size:
-            bookkeeping.encode_starts.append((admitted, first_tid))
-        first_ids, completed = pool.advance(alive)
+            bookkeeping.encode_starts.append((admitted, first))
+        first_ids, completed = self.pool.advance(alive)
         if first_ids.size:
-            bookkeeping.first_tokens.append((first_ids, last_tid))
+            bookkeeping.first_tokens.append((first_ids, last))
         if completed.size:
-            bookkeeping.completions.append((completed, last_tid))
-        return MixedOutcome(
-            first=TaskRef(first_tid), last=TaskRef(last_tid), completed=completed
-        )
+            bookkeeping.completions.append((completed, last))
+        return completed

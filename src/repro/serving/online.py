@@ -18,9 +18,10 @@ Two server drivers are provided:
 
 * :class:`ContinuousBatchingOnlineServer` wraps an ORCA-family baseline
   (:class:`~repro.baselines.orca.Orca` or :class:`~repro.baselines.vllm.Vllm`)
-  and runs its iteration-level policy online: at every iteration boundary the
-  server admits arrived requests (at most one prefill per iteration) into the
-  running batch, subject to the batch cap and the KV cache
+  and runs its iteration-level policy online: at every iteration boundary
+  :meth:`~repro.baselines.orca.Orca.cycle` admits arrived requests (at most
+  ``max_prefills_per_iteration`` prefills) into the running batch, subject
+  to the batch cap and the KV cache
   (:class:`~repro.engine.kv_manager.PagedKVCache` for vLLM, contiguous for
   ORCA).
 * :class:`ExeGPTOnlineServer` enforces an ExeGPT
@@ -38,9 +39,9 @@ chaining, micro-batching, WAA KV handover, compaction, timestamp
 bookkeeping -- goes through the same
 :class:`~repro.engine.execution.ExecutionEngine` as the offline runner and
 baselines, so the online and offline simulators share one implementation of
-execution semantics.  A continuous-batching cycle is one plan-free template
-call, priced from plain floats; an ExeGPT cycle is the engine's RRA or WAA
-cycle body, the same one the offline runner replays.
+execution semantics.  Each cycle is the body the offline replay runs too:
+``Orca.cycle`` (through the plan-free template) for continuous batching,
+the engine's RRA or WAA cycle for ExeGPT.
 
 Every server is a **steppable replica**: the arrival-ingest / clock /
 termination loop lives in :class:`ServingLoop`, not in the server, and the
@@ -67,7 +68,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.baselines.base import BaselineSystem
+from repro.baselines.orca import Orca
 from repro.core.config import ScheduleConfig, require_count
 from repro.core.dynamic import DynamicWorkloadAdjuster
 from repro.core.simulator import XSimulator
@@ -1444,25 +1445,28 @@ class ContinuousBatchingOnlineServer(OnlineServer):
     vLLM).
 
     Args:
-        system: The cost/KV model (an :class:`Orca` or :class:`Vllm`).
+        system: The cost/KV model, an :class:`Orca` or :class:`Vllm` (any
+            other system is a ``TypeError``: it has no such cycle).
         batch_size: Running-batch cap (typically from ``configure_for_bound``).
         max_queue: Admission-queue capacity.
 
-    Every cycle has a fixed shape -- per stage, one decode component for
-    the running batch plus one prefill per admitted request -- so no cycle
-    builds a plan: each is one
-    :meth:`~repro.engine.execution.ExecutionEngine.mixed_decode_template`
-    call, which prices the components from plain floats and emits the
-    stage tasks straight onto the timeline.
+    Every cycle is the offline replay's :meth:`Orca.cycle` over the head of
+    the queue, released at the clock and without a plan, so it emits
+    through :meth:`~repro.engine.execution.ExecutionEngine.mixed_decode_template`,
+    priced from plain floats straight onto the timeline.
     """
 
     def __init__(
         self,
-        system: BaselineSystem,
+        system: Orca,
         batch_size: int,
         max_queue: int = 512,
         name: str | None = None,
     ) -> None:
+        if not isinstance(system, Orca):
+            raise TypeError(
+                f"system must be an Orca or Vllm, not {type(system).__name__}"
+            )
         require_count("batch_size", batch_size)
         super().__init__(name=name or f"{system.name}-online", max_queue=max_queue)
         self.system = system
@@ -1510,48 +1514,19 @@ class ContinuousBatchingOnlineServer(OnlineServer):
         return bool(self._active.size)
 
     def _iterate(self, clock: float) -> float:
-        system = self.system
-        stages = system.placement.stages
-        engine = self._engine
-        pool = self._pool
-
-        admitted: list[int] = []
-        while (
-            self._queue
-            and self._active.size + len(admitted) < self.batch_size
-            and len(admitted) < system.max_prefills_per_iteration
-        ):
-            candidate = self._queue.head()
-            if not system._admit(self._cache, pool, candidate):
-                break
-            self._queue.popleft()
-            admitted.append(candidate)
-
-        # The alive set is kept compacted between iterations.
-        alive = self._active
-        if not alive.size and not admitted:
-            # KV cache full but nothing decoding would be a deadlock; the
-            # pool is drained before this can happen, so only an impossible
-            # single request reaches here.
-            raise RuntimeError(
-                f"{self.name}: cannot admit any request; KV cache too small"
-            )
-
-        admitted_ids = (
-            np.asarray(admitted, dtype=np.int64) if admitted else EMPTY_IDS
+        queue = self._queue
+        pending = (
+            queue.head_array(self.system.max_prefills_per_iteration)
+            if queue else EMPTY_IDS
         )
-        outcome = engine.mixed_decode_template(
-            stages, alive, prev_last=self._prev_last_task, release_s=clock,
-            admitted=admitted_ids,
+        self._active, admitted, last = self.system.cycle(
+            self._engine, self._cache, self.batch_size, self._active, pending,
+            prev_last=self._prev_last_task, release_s=clock,
         )
-        self._prev_last_task = outcome.last
-
-        system._release_batch(self._cache, pool, outcome.completed)
-        self._active = pool.compact(
-            np.concatenate([alive, admitted_ids]) if admitted else alive
-        )
-
-        return self._timeline.finish_time(outcome.last.task_id)
+        for _ in range(admitted):
+            queue.popleft()
+        self._prev_last_task = last
+        return self._timeline.finish_time(last.task_id)
 
     def _extra(self, iterations: int) -> dict[str, float]:
         return {

@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.faster_transformer import FasterTransformer
 from repro.baselines.orca import Orca
 from repro.baselines.vllm import Vllm
+from repro.serving.online import ContinuousBatchingOnlineServer
 from repro.workloads.synthetic import generate_trace_from_distributions
 
 
@@ -45,6 +46,10 @@ class TestOrca:
     def test_batch_size_one_still_completes(self, orca, trace):
         result = orca.run(trace, batch_size=1)
         assert result.num_requests == len(trace)
+        # At batch 1 every cycle either admits into the empty batch or
+        # decodes the one running request: the replay takes exactly
+        # requests + output tokens cycles, the bound its guard allows.
+        assert result.extra["iterations"] == len(trace) + trace.total_output_tokens
 
     def test_worst_case_latency_monotone(self, orca):
         assert orca.worst_case_latency(32) > orca.worst_case_latency(2)
@@ -79,6 +84,48 @@ class TestVllm:
 
     def test_reserved_tokens_are_block_aligned(self, vllm):
         assert vllm.reserved_tokens_per_request() % vllm.block_tokens == 0
+
+
+def one_byte_cache(system_cls, profile, input_dist, output_dist):
+    """A ``system_cls`` whose KV cache cannot hold a single request."""
+
+    class OneByteCache(system_cls):
+        def kv_capacity(self) -> float:
+            return 1.0
+
+    return OneByteCache(
+        profile=profile, input_distribution=input_dist, output_distribution=output_dist
+    )
+
+
+class TestCannotAdmit:
+    """A cache too small for one request fails with one error, naming the
+    system, offline and online alike."""
+
+    @pytest.mark.parametrize("system_cls", [Orca, Vllm])
+    def test_offline_replay_raises(
+        self, tiny_profile, short_input_dist, short_output_dist, trace, system_cls
+    ):
+        system = one_byte_cache(
+            system_cls, tiny_profile, short_input_dist, short_output_dist
+        )
+        with pytest.raises(
+            RuntimeError, match=rf"^{system.name} cannot admit any request"
+        ):
+            system.run(trace, batch_size=8)
+
+    @pytest.mark.parametrize("system_cls", [Orca, Vllm])
+    def test_online_serve_raises(
+        self, tiny_profile, short_input_dist, short_output_dist, trace, system_cls
+    ):
+        system = one_byte_cache(
+            system_cls, tiny_profile, short_input_dist, short_output_dist
+        )
+        server = ContinuousBatchingOnlineServer(system=system, batch_size=8)
+        with pytest.raises(
+            RuntimeError, match=rf"^{system.name} cannot admit any request"
+        ):
+            server.serve(trace)
 
 
 class TestConstructorValidation:

@@ -5,10 +5,12 @@ The execution-engine refactor (PR 3) moved iteration construction out of
 tests pin the replay outputs to JSON fixtures generated from the
 pre-refactor seed path, so any drift in task construction order, stage
 durations or timestamp bookkeeping shows up as an exact-value mismatch --
-not a tolerance failure.  Cases added later (``rra_encdec``, ``dsi``,
-``ft_encdec``) were generated from the code before the change they guard:
-the RRA and FasterTransformer/DSI decode moving onto the bulk
-``decode_run``.
+not a tolerance failure.  Cases added later were generated from the code
+before the change they guard: ``rra_encdec``, ``dsi`` and ``ft_encdec``
+before the RRA and FasterTransformer/DSI decode moved onto the bulk
+``decode_run``; ``orca_two_stage_prefills`` and ``vllm_encdec_prefills``
+before ORCA and vLLM shared one cycle body (``Orca.cycle``) with the online
+server and its plan-loop oracle.
 
 JSON serializes floats through ``repr``, which round-trips ``float``
 exactly, so ``==`` comparisons below really are bit-level.
@@ -65,6 +67,9 @@ def _build_world():
         vocab_size=8192,
     )
     cluster = a40_cluster(4)
+    # Two 8-GPU nodes: the baselines' TP-within-node placement has two
+    # pipeline stages there.
+    two_node_cluster = a40_cluster(16)
     input_dist = SequenceDistribution.truncated_normal(
         mean=48, std=16, max_len=96, name="in"
     )
@@ -79,12 +84,17 @@ def _build_world():
         encdec, cluster, max_batch=128, max_seq_len=512,
         batch_points=10, length_points=10,
     ).profile()
+    two_stage_profile = XProfiler(
+        model, two_node_cluster, max_batch=128, max_seq_len=512,
+        batch_points=10, length_points=10,
+    ).profile()
     simulator = XSimulator(profile, input_dist, output_dist)
     encdec_simulator = XSimulator(encdec_profile, input_dist, output_dist)
+    two_stage_simulator = XSimulator(two_stage_profile, input_dist, output_dist)
     trace = generate_trace_from_distributions(
         input_dist, output_dist, num_requests=96, seed=11
     )
-    return simulator, encdec_simulator, trace
+    return simulator, encdec_simulator, two_stage_simulator, trace
 
 
 def _fresh_trace(trace):
@@ -94,7 +104,7 @@ def _fresh_trace(trace):
 
 def _golden_cases():
     """name -> callable producing a RunResult (built lazily, run fresh)."""
-    simulator, encdec_simulator, trace = _build_world()
+    simulator, encdec_simulator, two_stage_simulator, trace = _build_world()
 
     def rra():
         config = ScheduleConfig(SchedulePolicy.RRA, encode_batch=8, decode_iterations=8)
@@ -149,6 +159,26 @@ def _golden_cases():
         )
         return system.run(trace, batch_size=8)
 
+    def orca_two_stage_prefills():
+        # Two stages and up to three prefills per cycle: a stage's duration
+        # sums the decode step and each prefill, in that order.
+        system = Orca(
+            profile=two_stage_simulator.profile,
+            input_distribution=two_stage_simulator.input_distribution,
+            output_distribution=two_stage_simulator.output_distribution,
+            max_prefills_per_iteration=3,
+        )
+        return system.run(trace, batch_size=16)
+
+    def vllm_encdec_prefills():
+        system = Vllm(
+            profile=encdec_simulator.profile,
+            input_distribution=encdec_simulator.input_distribution,
+            output_distribution=encdec_simulator.output_distribution,
+            max_prefills_per_iteration=2,
+        )
+        return system.run(trace, batch_size=8)
+
     def ft():
         system = FasterTransformer(
             profile=simulator.profile,
@@ -185,6 +215,8 @@ def _golden_cases():
         "waa_encdec": waa_encdec,
         "orca": orca,
         "vllm": vllm,
+        "orca_two_stage_prefills": orca_two_stage_prefills,
+        "vllm_encdec_prefills": vllm_encdec_prefills,
         "ft": ft,
         "dsi": dsi,
         "ft_encdec": ft_encdec,
@@ -242,7 +274,8 @@ POOL_DRIVER_MODULES = (
 @pytest.mark.parametrize(
     "name",
     ["rra", "rra_static", "rra_tp", "rra_encdec", "waa_c", "waa_m", "waa_encdec",
-     "orca", "vllm", "ft", "dsi", "ft_encdec"],
+     "orca", "vllm", "orca_two_stage_prefills", "vllm_encdec_prefills", "ft",
+     "dsi", "ft_encdec"],
 )
 def test_replay_matches_golden_fixture(golden_cases, name, backend, monkeypatch):
     """Every replay path reproduces its pre-refactor output exactly.

@@ -1,18 +1,22 @@
 """Plan-per-cycle online servers: the oracles of the serving fast paths.
 
 The production servers skip plan construction where a cycle's shape is
-fixed: :class:`~repro.serving.online.ContinuousBatchingOnlineServer` emits
-every cycle, admitting or not, through ``mixed_decode_template``, and the
-RRA cycle of :class:`~repro.serving.online.ExeGPTOnlineServer`
+fixed: :class:`~repro.serving.online.ContinuousBatchingOnlineServer` calls
+``Orca.cycle`` without a plan, so every cycle, admitting or not, emits
+through ``mixed_decode_template``, and the RRA cycle of
+:class:`~repro.serving.online.ExeGPTOnlineServer`
 (``ExecutionEngine.rra_cycle``) emits its decode iterations through the
-bulk ``decode_run``.  The subclasses here keep the historical bodies
-instead -- every cycle builds one
-:class:`~repro.engine.execution.IterationPlan` (``mixed_iteration`` /
-``decode_iteration``) and commits it -- so
+bulk ``decode_run``.  The subclasses here build one
+:class:`~repro.engine.execution.IterationPlan` per cycle instead and commit
+it -- the continuous-batching one hands it to the same ``Orca.cycle``
+(which then emits through ``mixed_iteration``), the RRA one keeps the
+historical ``decode_iteration`` body -- so
 ``tests/serving/test_plan_templates.py`` can hold the fast paths to them
-under ``==``.  WAA needs no oracle here: its production cycle
-(``ExecutionEngine.waa_cycle``) already plans each iteration, and its
-online serves are pinned to ``tests/serving/golden/waa_online.json``.
+under ``==``.  Continuous batching's admission, release and compaction
+are the shared body's, so only golden serves (``tests/serving/golden/``)
+pin those.  WAA needs no oracle here: its production cycle (``ExecutionEngine.waa_cycle``) already
+plans each iteration, and its online serves are pinned to
+``tests/serving/golden/waa_online.json``.
 
 :class:`SteppedServingLoop` is the historical per-event serving loop, the
 oracle of the production loop's window batching; :func:`stepped_core`
@@ -122,45 +126,25 @@ def serving_core(name: str):
 
 
 class PlanLoopContinuousBatchingServer(ContinuousBatchingOnlineServer):
-    """Continuous batching that plans and commits every cycle."""
+    """Continuous batching that plans and commits every cycle.
+
+    The cycle is production's ``Orca.cycle`` handed a fresh plan, over the
+    whole queue rather than its first ``max_prefills_per_iteration`` ids.
+    """
 
     def _iterate(self, clock: float) -> float:
-        system = self.system
-        stages = system.placement.stages
         engine = self._engine
-        pool = self._pool
-
-        admitted: list[int] = []
-        while (
-            self._queue
-            and self._active.size + len(admitted) < self.batch_size
-            and len(admitted) < system.max_prefills_per_iteration
-        ):
-            candidate = self._queue.head()
-            if not system._admit(self._cache, pool, candidate):
-                break
-            self._queue.popleft()
-            admitted.append(candidate)
-
-        alive = self._active
-        if not alive.size and not admitted:
-            raise RuntimeError(
-                f"{self.name}: cannot admit any request; KV cache too small"
-            )
-
-        admitted_ids = np.asarray(admitted, dtype=np.int64)
+        queue = self._queue
         plan = engine.plan()
-        outcome = engine.mixed_iteration(
-            plan, stages, alive, admitted_ids,
-            prev_last=self._prev_last_task, release_s=clock,
+        self._active, admitted, last = self.system.cycle(
+            engine, self._cache, self.batch_size, self._active,
+            queue.as_array(), plan=plan, prev_last=self._prev_last_task,
+            release_s=clock,
         )
         engine.commit(plan)
-        self._prev_last_task = outcome.last
-
-        system._release_batch(self._cache, pool, outcome.completed)
-        self._active = pool.compact(np.concatenate([alive, admitted_ids]))
-
-        return self._timeline.finish_time(outcome.last.task_id)
+        queue.pop_many(admitted)
+        self._prev_last_task = last
+        return self._timeline.finish_time(last.task_id)
 
 
 class PlanLoopExeGPTServer(ExeGPTOnlineServer):

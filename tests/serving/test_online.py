@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.baselines.deepspeed import DeepSpeedInference
+from repro.baselines.faster_transformer import FasterTransformer
 from repro.baselines.orca import Orca
 from repro.baselines.vllm import Vllm
 from repro.core.config import ScheduleConfig, SchedulePolicy
@@ -304,6 +306,22 @@ class TestQueueBoundSemantics:
             make_orca_server(
                 tiny_profile, short_input_dist, short_output_dist, batch_size=bad
             )
+
+    @pytest.mark.parametrize(
+        "system_cls", [FasterTransformer, DeepSpeedInference], ids=["ft", "dsi"]
+    )
+    def test_system_must_batch_continuously(
+        self, tiny_profile, short_input_dist, short_output_dist, system_cls
+    ):
+        # FasterTransformer used to construct and then fail its first serve
+        # with an AttributeError (no ``_make_kv_cache``); DSI inherits it.
+        system = system_cls(
+            profile=tiny_profile,
+            input_distribution=short_input_dist,
+            output_distribution=short_output_dist,
+        )
+        with pytest.raises(TypeError, match="system"):
+            ContinuousBatchingOnlineServer(system=system, batch_size=8)
 
     def test_numpy_integer_counts_accepted(
         self, tiny_profile, short_input_dist, short_output_dist, base_trace

@@ -6,16 +6,21 @@ must be *invisible* in the results: every record a server produces must be
 bit-identical to the plan-per-cycle oracle servers of
 ``tests/reference/serving.py``.  These tests pin that contract for every
 server family that has such an oracle (continuous batching over Orca and
-vLLM, ExeGPT RRA).  ExeGPT WAA's production cycle already plans each
-iteration, so it has no plan-loop twin: its online serves are pinned to a
-golden file instead (``golden/waa_online.json``), as the offline replays
-are pinned to ``tests/core/golden/``.  Also covered: every
-continuous-batching cycle, admitting or not, takes the template, a
-``clone`` replica serves like its original, and the bisection refinement
-of ``OnlineEvaluator.max_sustainable_qps`` matches its ladder-only
-reference.
+vLLM, ExeGPT RRA).  The continuous-batching twin runs production's own
+cycle body, ``Orca.cycle``, handed a plan, so it holds only the two
+emitters to each other; admission, KV release and compaction are the
+shared body's, and golden serves pin them
+(``golden/continuous_batching_online.json``: two stages, encoder-decoder,
+several prefills per cycle, a roomy and a rejecting queue).  ExeGPT WAA's
+production cycle already plans each iteration, so it has no plan-loop
+twin: its online serves are pinned to a golden file instead
+(``golden/waa_online.json``), as the offline replays are pinned to
+``tests/core/golden/``.  Also covered: every continuous-batching cycle,
+admitting or not, takes the template, a ``clone`` replica serves like its
+original, and the bisection refinement of
+``OnlineEvaluator.max_sustainable_qps`` matches its ladder-only reference.
 
-Regenerating the WAA golden file (only when an *intentional* semantic
+Regenerating both golden files (only when an *intentional* semantic
 change lands)::
 
     PYTHONPATH=src:tests python tests/serving/test_plan_templates.py --regenerate
@@ -56,6 +61,25 @@ WAA_CONFIG = ScheduleConfig(
     policy=SchedulePolicy.WAA_C, encode_batch=8, micro_batches=2
 )
 WAA_RATES = (10.0, 120.0)
+
+GOLDEN_CONTINUOUS = (
+    Path(__file__).parent / "golden" / "continuous_batching_online.json"
+)
+#: Pinned continuous-batching serves: name -> (deployment, system,
+#: prefills per cycle, rate).  Each is served at every queue bound of
+#: ``CONTINUOUS_QUEUES``; at 8 the two fast ones reject arrivals.
+CONTINUOUS_SERVES = {
+    "orca-two-stage-3-prefills-200.0": ("two-stage", Orca, 3, 200.0),
+    "vllm-encoder-decoder-2-prefills-20.0": ("encoder-decoder", Vllm, 2, 20.0),
+    "vllm-one-stage-1-prefill-400.0": ("one-stage", Vllm, 1, 400.0),
+}
+CONTINUOUS_QUEUES = (64, 8)
+#: The conftest (or module) fixture holding each deployment's profile.
+PROFILE_FIXTURES = {
+    "one-stage": "tiny_profile",
+    "two-stage": "two_stage_profile",
+    "encoder-decoder": "tiny_encdec_profile",
+}
 
 
 def make_parity_trace(input_dist, output_dist):
@@ -118,11 +142,7 @@ class TestContinuousBatchingTemplateParity:
         self, request, short_input_dist, short_output_dist, parity_trace,
         deployment, system_cls, prefills, rate,
     ):
-        profile = request.getfixturevalue({
-            "one-stage": "tiny_profile",
-            "two-stage": "two_stage_profile",
-            "encoder-decoder": "tiny_encdec_profile",
-        }[deployment])
+        profile = request.getfixturevalue(PROFILE_FIXTURES[deployment])
         online = attach_arrivals(parity_trace, PoissonProcess(rate), seed=11)
         results = []
         for server_cls in (ContinuousBatchingOnlineServer,
@@ -140,6 +160,26 @@ class TestContinuousBatchingTemplateParity:
         stages = len(system.placement.stages)
         assert stages == (2 if deployment == "two-stage" else 1)
         assert_identical(*results)
+
+    @pytest.mark.parametrize("max_queue", CONTINUOUS_QUEUES)
+    @pytest.mark.parametrize("case", list(CONTINUOUS_SERVES))
+    def test_matches_golden_serve(
+        self, request, short_input_dist, short_output_dist, parity_trace,
+        case, max_queue,
+    ):
+        """Continuous-batching serves reproduce their pinned records
+        exactly: two stages, encoder-decoder prefills and several prefills
+        per cycle, with and without rejections."""
+        deployment = CONTINUOUS_SERVES[case][0]
+        profile = request.getfixturevalue(PROFILE_FIXTURES[deployment])
+        expected = json.loads(GOLDEN_CONTINUOUS.read_text())[
+            continuous_key(case, max_queue)
+        ]
+        actual = continuous_serve_to_jsonable(
+            profile, short_input_dist, short_output_dist, parity_trace, case,
+            max_queue,
+        )
+        assert actual == expected
 
     def test_every_online_cycle_takes_the_template(
         self, monkeypatch, tiny_profile, short_input_dist, short_output_dist,
@@ -253,14 +293,13 @@ class TestExeGPTTemplateParity:
         )
 
 
-def waa_serve_to_jsonable(simulator, trace, rate: float) -> dict:
-    """Exact JSON form of one online WAA-C serve: every record field as a
-    column, the counts, the makespan and the driver's extras (JSON
-    round-trips ``float`` through ``repr``, so ``==`` is bit-level)."""
-    online = attach_arrivals(trace, PoissonProcess(rate), seed=13)
-    result = ExeGPTOnlineServer(simulator, WAA_CONFIG).serve(
-        online, scenario="steady", offered_rate_qps=rate
-    )
+def serve_to_jsonable(server, trace, rate: float, seed: int) -> dict:
+    """Exact JSON form of one serve of ``trace`` at Poisson ``rate``: every
+    record field as a column, the counts, the makespan and the driver's
+    extras (JSON round-trips ``float`` through ``repr``, so ``==`` is
+    bit-level)."""
+    online = attach_arrivals(trace, PoissonProcess(rate), seed=seed)
+    result = server.serve(online, scenario="steady", offered_rate_qps=rate)
     assert result.completed > 0
     return {
         "records": {
@@ -274,40 +313,93 @@ def waa_serve_to_jsonable(simulator, trace, rate: float) -> dict:
     }
 
 
-def regenerate_waa_golden() -> None:
-    """Rewrite ``GOLDEN_WAA`` from the current code.
-
-    Builds the conftest's ``tiny_simulator`` world (the tiny decoder-only
-    model on four A40s, the short length distributions) and this module's
-    parity trace.
-    """
-    model = ModelSpec(
-        name="Tiny-GPT",
-        architecture=Architecture.DECODER_ONLY,
-        num_layers=8,
-        hidden_size=512,
-        num_heads=8,
-        vocab_size=8192,
+def waa_serve_to_jsonable(simulator, trace, rate: float) -> dict:
+    """One online WAA-C serve of ``WAA_CONFIG``, in JSON form."""
+    return serve_to_jsonable(
+        ExeGPTOnlineServer(simulator, WAA_CONFIG), trace, rate, seed=13
     )
-    profile = XProfiler(
-        model, a40_cluster(4), max_batch=128, max_seq_len=512,
-        batch_points=10, length_points=10,
-    ).profile()
+
+
+def continuous_key(case: str, max_queue: int) -> str:
+    return f"{case}-queue-{max_queue}"
+
+
+def continuous_serve_to_jsonable(
+    profile, input_dist, output_dist, trace, case: str, max_queue: int
+) -> dict:
+    """One continuous-batching serve of ``CONTINUOUS_SERVES[case]`` on
+    ``profile`` (batch 16), in JSON form."""
+    _, system_cls, prefills, rate = CONTINUOUS_SERVES[case]
+    system = system_cls(
+        profile=profile,
+        input_distribution=input_dist,
+        output_distribution=output_dist,
+        max_prefills_per_iteration=prefills,
+    )
+    server = ContinuousBatchingOnlineServer(
+        system=system, batch_size=16, max_queue=max_queue
+    )
+    return serve_to_jsonable(server, trace, rate, seed=11)
+
+
+def regenerate_goldens() -> None:
+    """Rewrite ``GOLDEN_WAA`` and ``GOLDEN_CONTINUOUS`` from the current
+    code.
+
+    Builds the conftest's world (the tiny decoder-only and
+    encoder-decoder models on four A40s, this module's two-node profile,
+    the short length distributions) and this module's parity trace.
+    """
+    def tiny(name, architecture):
+        return ModelSpec(
+            name=name,
+            architecture=architecture,
+            num_layers=8,
+            hidden_size=512,
+            num_heads=8,
+            vocab_size=8192,
+        )
+
+    def profile(model, gpus):
+        return XProfiler(
+            model, a40_cluster(gpus), max_batch=128, max_seq_len=512,
+            batch_points=10, length_points=10,
+        ).profile()
+
+    decoder_only = tiny("Tiny-GPT", Architecture.DECODER_ONLY)
+    profiles = {
+        "one-stage": profile(decoder_only, 4),
+        "two-stage": profile(decoder_only, 16),
+        "encoder-decoder": profile(
+            tiny("Tiny-T5", Architecture.ENCODER_DECODER), 4
+        ),
+    }
     input_dist = SequenceDistribution.truncated_normal(
         mean=48, std=16, max_len=96, name="in"
     )
     output_dist = SequenceDistribution.truncated_normal(
         mean=16, std=6, max_len=40, name="out"
     )
-    simulator = XSimulator(profile, input_dist, output_dist)
+    simulator = XSimulator(profiles["one-stage"], input_dist, output_dist)
     trace = make_parity_trace(input_dist, output_dist)
-    payload = {
-        repr(rate): waa_serve_to_jsonable(simulator, trace, rate)
-        for rate in WAA_RATES
+    payloads = {
+        GOLDEN_WAA: {
+            repr(rate): waa_serve_to_jsonable(simulator, trace, rate)
+            for rate in WAA_RATES
+        },
+        GOLDEN_CONTINUOUS: {
+            continuous_key(case, max_queue): continuous_serve_to_jsonable(
+                profiles[deployment], input_dist, output_dist, trace, case,
+                max_queue,
+            )
+            for case, (deployment, *_) in CONTINUOUS_SERVES.items()
+            for max_queue in CONTINUOUS_QUEUES
+        },
     }
-    GOLDEN_WAA.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_WAA.write_text(json.dumps(payload, indent=1) + "\n")
-    print(f"wrote {GOLDEN_WAA}")
+    for path, payload in payloads.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(payload, indent=1) + "\n")
+        print(f"wrote {path}")
 
 
 class TestBisectionRefinement:
@@ -364,6 +456,6 @@ class TestBisectionRefinement:
 
 if __name__ == "__main__":
     if "--regenerate" in sys.argv:
-        regenerate_waa_golden()
+        regenerate_goldens()
     else:
         print(__doc__)
