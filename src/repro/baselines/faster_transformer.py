@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.baselines.base import BaselineSystem
 from repro.core.config import require_count
 from repro.engine.batching import split_ids
-from repro.engine.metrics import RunResult, collect_pool_result
+from repro.engine.metrics import RunResult, collect_result
 from repro.engine.pool import RequestPool
 from repro.engine.timeline import Timeline
 from repro.workloads.trace import WorkloadTrace
@@ -94,13 +94,6 @@ class FasterTransformer(BaselineSystem):
                 early_termination=False,
             )
 
-        engine.bookkeeping.resolve(timeline)
-        return collect_pool_result(
-            system=self.name,
-            pool=pool,
-            ids=all_ids,
-            makespan_s=timeline.makespan_s,
-            stage_utilization=timeline.stage_utilization(),
-            stage_times=engine.stage_times,
-            extra={"batch_size": float(batch_size)},
+        return collect_result(
+            self.name, engine, extra={"batch_size": float(batch_size)}
         )

@@ -20,9 +20,14 @@ import numpy as np
 
 from repro.baselines.base import BaselineSystem
 from repro.core.config import require_count
-from repro.engine.execution import ExecutionEngine, IterationPlan, TaskRef
+from repro.engine.execution import (
+    ExecutionEngine,
+    IterationPlan,
+    TaskRef,
+    max_replay_cycles,
+)
 from repro.engine.kv_manager import ContiguousKVCache, KVCacheError
-from repro.engine.metrics import RunResult, collect_pool_result
+from repro.engine.metrics import RunResult, collect_result
 from repro.engine.pool import EMPTY_IDS, RequestPool
 from repro.engine.timeline import Timeline
 from repro.workloads.trace import WorkloadTrace
@@ -164,9 +169,7 @@ class Orca(BaselineSystem):
         plan = engine.plan()
         all_ids = pool.ids()
         total = all_ids.size
-        # A cycle admits a request or decodes a token of each running one,
-        # so a replay takes at most requests + output tokens cycles.
-        max_iterations = total + trace.total_output_tokens
+        max_iterations = max_replay_cycles(trace)
         pos = 0  # pending requests are all_ids[pos:], in trace order
         active = EMPTY_IDS
         cache = self._make_kv_cache()
@@ -184,14 +187,9 @@ class Orca(BaselineSystem):
                 raise RuntimeError(f"{self.name} runner did not converge")
 
         engine.commit(plan)
-        engine.bookkeeping.resolve(timeline)
-        return collect_pool_result(
-            system=self.name,
-            pool=pool,
-            ids=all_ids,
-            makespan_s=timeline.makespan_s,
-            stage_utilization=timeline.stage_utilization(),
-            stage_times=engine.stage_times,
+        return collect_result(
+            self.name,
+            engine,
             extra={
                 "batch_size": float(batch_size),
                 "iterations": float(iterations),

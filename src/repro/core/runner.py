@@ -35,14 +35,17 @@ scans or Python context-length sums remain on the replay hot path.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.allocation import Placement, stage_weight_bytes_per_gpu
 from repro.core.config import ScheduleConfig, SchedulePolicy
 from repro.core.dynamic import DynamicWorkloadAdjuster
 from repro.core.simulator import XSimulator
-from repro.engine.execution import ExecutionEngine, KVHandover, TaskRef
-from repro.engine.metrics import RunResult, collect_pool_result
+from repro.engine.execution import (
+    ExecutionEngine,
+    KVHandover,
+    TaskRef,
+    max_replay_cycles,
+)
+from repro.engine.metrics import RunResult, collect_result
 from repro.engine.pool import EMPTY_IDS, RequestPool
 from repro.engine.timeline import Timeline
 from repro.workloads.trace import WorkloadTrace
@@ -113,6 +116,7 @@ class XRunner:
 
         all_ids = pool.ids()
         total = all_ids.size
+        max_cycles = max_replay_cycles(trace)
         pos = 0  # pending requests are all_ids[pos:], a contiguous window
         active = EMPTY_IDS
         cycle = 0
@@ -132,25 +136,16 @@ class XRunner:
                     take = adjuster.admit_count(window, active.size, freed)
                 admitted = all_ids[pos : pos + take]
                 pos += take
-                pool.set_admitted_cycle(admitted, cycle)
             else:
                 admitted = EMPTY_IDS
             active, freed = engine.rra_cycle(
                 micro_batches, self.config.decode_iterations, active, admitted
             )
             cycle += 1
-            if cycle > 100000:
+            if cycle > max_cycles:
                 raise RuntimeError("RRA runner did not converge; check the schedule")
 
-        engine.bookkeeping.resolve(timeline)
-        return self._collect(
-            "exegpt-rra",
-            pool,
-            all_ids,
-            timeline,
-            engine,
-            warmup_requests,
-        )
+        return self._collect("exegpt-rra", engine, warmup_requests)
 
     # -- WAA ---------------------------------------------------------------------------
 
@@ -172,6 +167,7 @@ class XRunner:
 
         all_ids = pool.ids()
         total = all_ids.size
+        max_iterations = max_replay_cycles(trace)
         pos = 0
         active = EMPTY_IDS
         warmup_requests = min(decode_batch_target, total)
@@ -187,7 +183,6 @@ class XRunner:
                 take = adjuster.admit_count(window, active.size, freed)
                 admitted = all_ids[pos : pos + take]
                 pos += take
-                pool.set_admitted_cycle(admitted, iteration)
             else:
                 admitted = EMPTY_IDS
             active, freed = engine.waa_cycle(
@@ -200,37 +195,23 @@ class XRunner:
                 prev_iter_last,
             )
             iteration += 1
-            if iteration > 200000:
+            if iteration > max_iterations:
                 raise RuntimeError("WAA runner did not converge")
 
         engine.commit(plan)
-        engine.bookkeeping.resolve(timeline)
         name = "exegpt-waa-m" if self.config.policy is SchedulePolicy.WAA_M else "exegpt-waa-c"
-        return self._collect(
-            name, pool, all_ids, timeline, engine, warmup_requests
-        )
+        return self._collect(name, engine, warmup_requests)
 
     # -- shared collection -------------------------------------------------------------
 
     def _collect(
-        self,
-        system: str,
-        pool,
-        ids: np.ndarray,
-        timeline: Timeline,
-        engine: ExecutionEngine,
-        warmup_requests: int = 0,
+        self, system: str, engine: ExecutionEngine, warmup_requests: int
     ) -> RunResult:
-        peak_memory = self._peak_memory_gib(engine.peak_kv_tokens)
-        return collect_pool_result(
-            system=system,
-            pool=pool,
-            ids=ids,
-            makespan_s=timeline.makespan_s,
-            stage_utilization=timeline.stage_utilization(),
-            stage_times=engine.stage_times,
-            peak_memory_gib=peak_memory,
-            extra={"num_tasks": float(timeline.num_tasks)},
+        return collect_result(
+            system,
+            engine,
+            peak_memory_gib=self._peak_memory_gib(engine.peak_kv_tokens),
+            extra={"num_tasks": float(engine.timeline.num_tasks)},
             warmup_requests=warmup_requests,
         )
 

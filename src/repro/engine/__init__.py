@@ -19,13 +19,8 @@ from repro.engine.kv_manager import (
     KVCacheError,
     PagedKVCache,
 )
-from repro.engine.metrics import RunResult, collect_pool_result
-from repro.engine.pool import (
-    EMPTY_IDS,
-    DecodeRunSteps,
-    RequestPool,
-    RequestView,
-)
+from repro.engine.metrics import RunResult, collect_result
+from repro.engine.pool import EMPTY_IDS, DecodeRunSteps, RequestPool
 from repro.engine.timeline import StageTask, Timeline
 
 __all__ = [
@@ -42,13 +37,12 @@ __all__ = [
     "PagedKVCache",
     "PlanColumns",
     "RequestPool",
-    "RequestView",
     "RunResult",
     "SMALL_PLAN_ITEMS",
     "StageTask",
     "TaskRef",
     "Timeline",
-    "collect_pool_result",
+    "collect_result",
     "price_columns",
     "price_item",
     "split_ids",

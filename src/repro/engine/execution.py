@@ -56,14 +56,23 @@ Timestamp decisions never feed back into construction *within* a cycle
 makes the collect-then-price design exact; online drivers query the clock
 only between committed cycles.
 
+Each time is recorded once.  A task's duration lives in the timeline,
+tagged with its phase (``"encode"``, ``"decode"``, ``"kv-transfer"``,
+``"compaction"``), so Table 7's stage times are
+:meth:`~repro.engine.timeline.Timeline.durations` of a tag.  A request's
+times are :class:`Bookkeeping` entries -- (id batch, task) pairs -- which
+:meth:`Bookkeeping.resolve_events` turns into ``(event, ids, times)``
+triples once the timeline has run: the online server scatters them into
+its record columns, :func:`~repro.engine.metrics.collect_result` into
+fresh columns of an offline result.
+
 Request lifecycle state lives in a :mod:`~repro.engine.pool` request pool:
 the engine's helpers take *id arrays* (micro-batch groups, admitted
 batches, alive sets) and resolve batch sizes, context sums and
-advancement through the pool's vectorized columns; bookkeeping stamps
-timestamps straight into the pool's timestamp columns at resolve time.
-The engine only calls the pool's interface, so the per-object reference
-pool of the test suite (``tests/reference/pool.py``) runs the same replays
-byte-for-byte identically.
+advancement through the pool's vectorized columns.  The engine only calls
+the pool's interface, so the per-object reference pool of the test suite
+(``tests/reference/pool.py``) runs the same replays byte-for-byte
+identically.
 """
 
 from __future__ import annotations
@@ -77,6 +86,7 @@ from repro.core.profiler import ProfileTable
 from repro.engine.batching import split_ids
 from repro.engine.pool import EMPTY_IDS
 from repro.engine.timeline import NO_DEP, Timeline
+from repro.workloads.trace import WorkloadTrace
 
 # ---------------------------------------------------------------------------
 # Priced work items
@@ -348,7 +358,6 @@ class _PlannedTask:
     fixed_s: float
     deps: list[object]
     tag: str
-    bucket: str | None
     release_s: float
     ref: TaskRef = field(default_factory=TaskRef)
 
@@ -377,13 +386,12 @@ class IterationPlan:
         fixed_s: float = 0.0,
         deps: list[object] | tuple[object, ...] = (),
         tag: str = "",
-        bucket: str | None = None,
         release_s: float = 0.0,
     ) -> TaskRef:
         """Append one fixed-duration task (no priced work); ``deps`` may
         mix TaskRefs and task ids."""
         return self.add_span_task(
-            stage, self.columns.count, fixed_s, deps, tag, bucket, release_s
+            stage, self.columns.count, fixed_s, deps, tag, release_s
         )
 
     def add_span_task(
@@ -393,7 +401,6 @@ class IterationPlan:
         fixed_s: float = 0.0,
         deps: list[object] | tuple[object, ...] = (),
         tag: str = "",
-        bucket: str | None = None,
         release_s: float = 0.0,
     ) -> TaskRef:
         """Append a task whose work is ``columns[work_start:count]``.
@@ -410,7 +417,6 @@ class IterationPlan:
             fixed_s=fixed_s,
             deps=list(deps),
             tag=tag,
-            bucket=bucket,
             release_s=release_s,
         )
         self.tasks.append(task)
@@ -420,6 +426,16 @@ class IterationPlan:
     def num_tasks(self) -> int:
         """Planned tasks so far."""
         return len(self.tasks)
+
+
+def max_replay_cycles(trace: WorkloadTrace) -> int:
+    """Most cycles an offline replay of ``trace`` can take.
+
+    Every cycle of a replay that makes progress admits a request or
+    generates a token, so the requests plus their output tokens bound the
+    cycle count; a replay loop past it has stalled.
+    """
+    return len(trace) + trace.total_output_tokens
 
 
 def _dep_id(dep: object) -> int:
@@ -464,39 +480,30 @@ def _event_columns(entries: Events) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Bookkeeping:
-    """Deferred timestamp assignments resolved after the timeline runs.
+    """Deferred request events, resolved after the timeline runs.
 
     Construction-time decisions never depend on task times, so drivers
     record (id-batch, task) pairs while building and resolve them once at
     the end: encode starts map to task *start* times, first tokens and
     completions to task *finish* times.  Each event kind resolves as one
-    gather of task times and one scatter into the timestamp columns; an id
-    recorded twice (a request requeued onto the same replica) keeps its
-    later event's time.
+    gather of task times; the consumer scatters them with
+    :func:`~repro.engine.pool.scatter_last`, so an id recorded twice (a
+    request requeued onto the same replica) keeps its later event's time.
     """
 
-    def __init__(self, pool) -> None:
-        self.pool = pool
+    def __init__(self) -> None:
         self.encode_starts: Events = []
         self.first_tokens: Events = []
         self.completions: Events = []
 
-    def resolve(self, timeline: Timeline) -> None:
-        """Offline semantics: stamp the pool's timestamp columns."""
-        timeline.run()
-        ids, tasks = _event_columns(self.encode_starts)
-        self.pool.stamp_encode_start(ids, timeline.start_times(tasks))
-        ids, tasks = _event_columns(self.completions)
-        self.pool.stamp_finish(ids, timeline.finish_times(tasks))
-
     def resolve_events(self, timeline: Timeline):
-        """Online semantics: yield one ``(event, ids, times)`` triple per
-        event kind.
+        """Yield one ``(event, ids, times)`` triple per event kind.
 
         Events are ``"admitted"`` (task start), ``"first_token"`` and
         ``"finish"`` (task finishes); ``ids`` holds every recorded id of
         that kind in record order and ``times`` the matching time of each.
-        The serving layer maps them onto its per-request records.
+        The online server scatters them into its record columns, an
+        offline replay into the columns of its result.
         """
         ids, tasks = _event_columns(self.encode_starts)
         yield "admitted", ids, timeline.start_times(tasks)
@@ -638,8 +645,7 @@ class ExecutionEngine:
         self.pool = pool
         self.decoder_only = decoder_only
         self.overhead_s = overhead_s
-        self.bookkeeping = Bookkeeping(pool)
-        self.stage_times: dict[str, list[float]] = {"encode": [], "decode": []}
+        self.bookkeeping = Bookkeeping()
         self.peak_kv_tokens: dict[int, float] = {
             s.stage_id: 0.0 for s in placement.stages
         }
@@ -674,9 +680,8 @@ class ExecutionEngine:
         :func:`price_columns` (scalar lookups for small plans, otherwise
         one vectorized grid interpolation per (phase, TP-signature) group);
         tasks are then added to the timeline in plan order (preserving the
-        per-stage FIFO semantics of the scalar construction), their
-        :class:`TaskRef` handles are filled in, and per-phase stage times
-        are recorded for the Table 7 variance analysis.
+        per-stage FIFO semantics of the scalar construction) and their
+        :class:`TaskRef` handles are filled in.
         """
         if plan.committed:
             raise RuntimeError("plan was already committed")
@@ -714,9 +719,6 @@ class ExecutionEngine:
             for task in tasks:
                 task.ref.task_id = -1
             raise
-        for task, duration in zip(tasks, durations):
-            if task.bucket is not None:
-                self.stage_times[task.bucket].append(duration)
         plan.committed = True
 
     # -- encode construction -----------------------------------------------------
@@ -764,7 +766,6 @@ class ExecutionEngine:
                 start,
                 deps=[prev] if prev is not None else [],
                 tag="encode",
-                bucket="encode",
                 release_s=release_s if prev is None else 0.0,
             )
             if stage.role == "encode":
@@ -875,7 +876,6 @@ class ExecutionEngine:
                     start,
                     deps=[prev] if prev is not None else deps_first,
                     tag="decode",
-                    bucket="decode",
                     release_s=release_s if prev is None else 0.0,
                 )
                 if kv_tokens > peak.get(stage.stage_id, 0.0):
@@ -1044,7 +1044,6 @@ class ExecutionEngine:
         timeline.add_tasks(
             stage_grid[keep], grid[keep], preds, tag_grid[keep], releases, head_deps
         )
-        self.stage_times["decode"].extend(dec.ravel().tolist())
         kv_tokens = float(max(r.context_tokens.max() for r in runs))
         peak = self.peak_kv_tokens
         for stage in stages:
@@ -1081,21 +1080,22 @@ class ExecutionEngine:
         iterations over the whole standing pool.
 
         The encode phase (``admitted`` split into ``micro_batches``) is one
-        plan, committed at once; the decode iterations chain on its tails
-        through the bulk :meth:`decode_run`.  Both carry ``release_s``.
-        Returns the compacted standing pool and the count of requests the
-        cycle finished.  The offline replay and the online server share
-        this body and differ only in admission and release time.
+        plan, committed at once, and only built when the cycle admits; the
+        decode iterations chain on its tails through the bulk
+        :meth:`decode_run`.  Both carry ``release_s``.  Returns the
+        compacted standing pool and the count of requests the cycle
+        finished.  The offline replay and the online server share this body
+        and differ only in admission and release time.
         """
         stages = self.placement.stages
-        plan = self.plan()
         encode_last: list[TaskRef] = []
         if admitted.size:
+            plan = self.plan()
             encode_last = self.encode_phase(
                 plan, stages, split_ids(admitted, micro_batches), release_s=release_s
             )
+            self.commit(plan)
             active = np.concatenate([active, admitted])
-        self.commit(plan)
         freed = 0
         if active.size:
             outcome = self.decode_run(
@@ -1179,15 +1179,18 @@ class ExecutionEngine:
         exactly what makes prefill-carrying iterations long -- the
         latency-variability effect the paper highlights.  Admission
         bookkeeping binds to the first stage task, first-token/completion
-        bookkeeping to the last.  ``Orca.cycle`` plans through here when
-        its caller passes a plan (the offline ORCA/vLLM replays), else emits
-        the same cycle through :meth:`mixed_decode_template`.
+        bookkeeping to the last.  The stage tasks are tagged ``"decode"``
+        when the running batch is non-empty, else ``"encode"``.
+        ``Orca.cycle`` plans through here when its caller passes a plan (the
+        offline ORCA/vLLM replays), else emits the same cycle through
+        :meth:`mixed_decode_template`.
         """
         key = _identity_key
         pool = self.pool
         avg_ctx = (
             pool.average_context(alive, self.decoder_only) if alive.size else 0.0
         )
+        tag = "decode" if alive.size else "encode"
         prefill_lens = (
             pool.input_lens(admitted).tolist() if admitted.size else ()
         )
@@ -1217,8 +1220,7 @@ class ExecutionEngine:
                 key(stage),
                 start,
                 deps=deps,
-                tag="iteration",
-                bucket="decode" if alive.size else "encode",
+                tag=tag,
                 release_s=release_s if prev is None else 0.0,
             )
             if first is None:
@@ -1246,18 +1248,18 @@ class ExecutionEngine:
         is priced straight from Python floats by :func:`price_item`, a
         stage's duration is ``0.0`` plus its components in that order (the
         sum ``commit`` forms), and the stage tasks go onto the timeline
-        one by one.  Stage times go to the ``"decode"`` bucket when the
-        running batch is non-empty, else to ``"encode"``.  The first stage
-        task carries ``release_s`` and depends on ``prev_last``;
+        one by one, tagged ``"decode"`` when the running batch is
+        non-empty, else ``"encode"``.  The first stage task carries
+        ``release_s`` and depends on ``prev_last``;
         encode-start bookkeeping of ``admitted`` binds to it, first-token
         and completion bookkeeping to the last stage task.
 
         ``alive`` may be empty (a cycle that only admits); ``alive`` and
         ``admitted`` are not both empty.  ``prev_last`` must be committed.
-        Task graph, durations, bookkeeping and stage times are
-        bit-identical to ``mixed_iteration(plan, stages, alive, admitted,
-        ...)`` followed by ``commit`` (pinned by the engine and serving
-        template-parity tests).
+        Task graph, durations, tags and bookkeeping are bit-identical to
+        ``mixed_iteration(plan, stages, alive, admitted, ...)`` followed by
+        ``commit`` (pinned by the engine and serving template-parity
+        tests).
         """
         pool = self.pool
         timeline = self.timeline
@@ -1267,9 +1269,9 @@ class ExecutionEngine:
         batch = float(alive.size)
         if batch:
             avg_ctx = float(pool.average_context(alive, self.decoder_only))
-            stage_times = self.stage_times["decode"]
+            tag = "decode"
         else:
-            stage_times = self.stage_times["encode"]
+            tag = "encode"
         prefill_lens = (
             [float(n) for n in pool.input_lens(admitted).tolist()]
             if admitted.size else ()
@@ -1292,14 +1294,13 @@ class ExecutionEngine:
                     1.0, input_len, overhead_s,
                 )
             last_tid = timeline.add_task(
-                stage.stage_id, duration, deps, tag="iteration",
+                stage.stage_id, duration, deps, tag=tag,
                 earliest_start_s=release,
             )
             if first_tid < 0:
                 first_tid = last_tid
             deps = (last_tid,)
             release = 0.0
-            stage_times.append(duration)
         return MixedOutcome(
             last=TaskRef(last_tid),
             completed=self._advance(alive, admitted, first_tid, last_tid),

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.engine.pool import scatter_last
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -31,8 +33,9 @@ class RunResult:
         warmup_requests: Number of leading requests admitted during the
             initial pool fill; latency statistics can exclude them.
         stage_utilization: Busy fraction per pipeline stage.
-        stage_times: Raw per-execution stage durations, keyed by phase
-            ("encode"/"decode"), for the Table 7 variance analysis.
+        stage_times: Stage durations keyed by phase ("encode"/"decode"):
+            the durations of the timeline's tasks with that tag, in task
+            order, for the Table 7 variance analysis.
         peak_memory_gib: Peak per-stage memory use in GiB (stage id -> GiB),
             when the driver tracks it.
         extra: Free-form additional measurements.
@@ -47,7 +50,7 @@ class RunResult:
     output_lengths: np.ndarray = ()
     warmup_requests: int = 0
     stage_utilization: dict[object, float] = field(default_factory=dict)
-    stage_times: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    stage_times: dict[str, np.ndarray] = field(default_factory=dict)
     peak_memory_gib: dict[object, float] = field(default_factory=dict)
     extra: dict[str, float] = field(default_factory=dict)
 
@@ -175,38 +178,63 @@ class RunResult:
         return {"mean": mean, "p99_range": half_range, "p99_range_pct": pct}
 
 
-def collect_pool_result(
+def collect_result(
     system: str,
-    pool,
-    ids,
-    makespan_s: float,
-    stage_utilization: dict[object, float] | None = None,
-    stage_times: dict[str, list[float]] | None = None,
+    engine,
     peak_memory_gib: dict[object, float] | None = None,
     extra: dict[str, float] | None = None,
     warmup_requests: int = 0,
 ) -> RunResult:
-    """Assemble a :class:`RunResult` from a request pool's columns.
+    """The :class:`RunResult` of an offline replay: every request of the
+    engine's pool, in pool order.
 
-    Latencies, completion times and output lengths come out of the pool
-    in one vectorized pass (``pool.completion_arrays``) and are kept as
-    the result's columns.
+    Runs the engine's timeline and reads the rest from it: makespan, stage
+    utilization, the ``"encode"`` and ``"decode"`` stage times
+    (:meth:`~repro.engine.timeline.Timeline.durations`), and each request's
+    encode start and finish, scattered into fresh columns from the same
+    ``(event, ids, times)`` triples of
+    :meth:`~repro.engine.execution.Bookkeeping.resolve_events` that the
+    online server resolves into its records.
 
     Raises:
         ValueError: if any request is unfinished or missing timestamps.
     """
-    latencies, completions, lengths, tokens = pool.completion_arrays(ids)
+    timeline = engine.timeline
+    pool = engine.pool
+    timeline.run()
+    start = np.full(pool.size, -1.0)
+    finish = np.full(pool.size, -1.0)
+    columns = {"admitted": start, "finish": finish}
+    for event, ids, when in engine.bookkeeping.resolve_events(timeline):
+        if event in columns and ids.size:
+            scatter_last(columns[event], ids, when)
+    ids = pool.ids()
+    bad = ~pool.done_mask(ids) | (finish < 0)
+    if np.any(bad):
+        culprit = pool.request_id_of(int(ids[bad][0]))
+        raise ValueError(
+            f"request {culprit} did not complete; cannot collect metrics"
+        )
+    latencies = finish - start
+    invalid = (start < 0) | np.isnan(latencies)
+    if np.any(invalid):
+        culprit = pool.request_id_of(int(ids[invalid][0]))
+        raise ValueError(f"request {culprit} has invalid latency")
+    # Every request is done, so it generated exactly its output length.
+    lengths = pool.output_lens(ids)
     return RunResult(
         system=system,
-        makespan_s=makespan_s,
+        makespan_s=timeline.makespan_s,
         num_requests=int(ids.size),
-        total_generated_tokens=tokens,
+        total_generated_tokens=int(lengths.sum()),
         latencies_s=latencies,
-        completion_times_s=completions,
+        completion_times_s=finish,
         output_lengths=lengths,
         warmup_requests=max(int(warmup_requests), 0),
-        stage_utilization=dict(stage_utilization or {}),
-        stage_times={k: tuple(v) for k, v in (stage_times or {}).items()},
+        stage_utilization=timeline.stage_utilization(),
+        stage_times={
+            phase: timeline.durations(phase) for phase in ("encode", "decode")
+        },
         peak_memory_gib=dict(peak_memory_gib or {}),
         extra=dict(extra or {}),
     )

@@ -7,12 +7,13 @@ timestamps attribute by attribute.  Once pricing and iteration
 construction were vectorized, exactly those per-object scans dominated
 replay profiles.
 
-:class:`RequestPool` is the structure-of-arrays replacement: one numpy
-column per lifecycle field (``input_len``, ``output_len``, ``generated``,
-``encode_start_s``, ``encode_finish_s``, ``finish_s``, ``admitted_cycle``,
-``arrival_s``) plus a ``done`` mask, all indexed by a *stable* request id
-(the row index, assigned at admission and never reused or moved).  Every
-hot operation is one vectorized pass:
+:class:`RequestPool` is the structure-of-arrays replacement: static
+columns (``request_id``, ``input_len``, ``output_len``, ``arrival_s``) and
+generation progress (``generated`` and a ``done`` mask), all indexed by a
+*stable* request id (the row index, assigned at admission and never reused
+or moved).  It holds no timestamps: a request's times are resolved from the
+engine's bookkeeping into the columns of the run's result.  Every hot
+operation is one vectorized pass:
 
 * **batch admission** -- :meth:`from_trace` loads a whole trace at once;
 * **advance** -- ``generated[ids] += tokens`` with first-token/completion
@@ -31,11 +32,6 @@ objects with the historical ``done`` scans -- lives on as the test oracle
 the hypothesis parity suite (``tests/engine/test_pool.py``) drives both
 through random schedules and asserts identical behaviour, and the golden
 replay fixtures hold on both.
-
-External callers that want one request's state use :meth:`RequestPool.view`,
-which returns a :class:`RequestView` -- a thin per-request window with the
-attributes and properties of the reference pool's per-object state,
-reading and writing the pool's columns.
 
 **Multi-owner discipline.**  Because ids are stable and every lifecycle
 operation touches only the ids it is given, one pool can safely back many
@@ -133,132 +129,6 @@ class DecodeRunSteps(NamedTuple):
     completed_context: np.ndarray
 
 
-class RequestView:
-    """Thin per-request view over one :class:`RequestPool` row.
-
-    Exposes the attributes and derived properties of one request --
-    those of the reference pool's per-object ``RequestState``; reads and
-    writes go straight to the pool's columns, so a view is always current
-    and mutating it mutates the pool.
-    """
-
-    __slots__ = ("_pool", "_rid")
-
-    def __init__(self, pool: "RequestPool", rid: int) -> None:
-        self._pool = pool
-        self._rid = int(rid)
-
-    # -- static fields -----------------------------------------------------------
-
-    @property
-    def rid(self) -> int:
-        """Stable pool id of the request (row index)."""
-        return self._rid
-
-    @property
-    def request_id(self) -> int:
-        """Trace id of the request."""
-        return int(self._pool.request_id[self._rid])
-
-    @property
-    def input_len(self) -> int:
-        """Prompt length."""
-        return int(self._pool.input_len[self._rid])
-
-    @property
-    def output_len(self) -> int:
-        """Forced generation length."""
-        return int(self._pool.output_len[self._rid])
-
-    @property
-    def arrival_s(self) -> float:
-        """Arrival time of the request."""
-        return float(self._pool.arrival_s[self._rid])
-
-    # -- mutable lifecycle fields ----------------------------------------------------
-
-    @property
-    def generated(self) -> int:
-        """Tokens generated so far."""
-        return int(self._pool.generated[self._rid])
-
-    @property
-    def encode_start_s(self) -> float:
-        """When encoding started (-1 if not yet)."""
-        return float(self._pool.encode_start_s[self._rid])
-
-    @encode_start_s.setter
-    def encode_start_s(self, value: float) -> None:
-        self._pool.encode_start_s[self._rid] = value
-
-    @property
-    def encode_finish_s(self) -> float:
-        """When encoding finished (-1 if not yet)."""
-        return float(self._pool.encode_finish_s[self._rid])
-
-    @encode_finish_s.setter
-    def encode_finish_s(self, value: float) -> None:
-        self._pool.encode_finish_s[self._rid] = value
-
-    @property
-    def finish_s(self) -> float:
-        """When the last token was generated (-1 if unfinished)."""
-        return float(self._pool.finish_s[self._rid])
-
-    @finish_s.setter
-    def finish_s(self, value: float) -> None:
-        self._pool.finish_s[self._rid] = value
-
-    @property
-    def admitted_cycle(self) -> int:
-        """Cycle/iteration at which the request was admitted (-1 if never)."""
-        return int(self._pool.admitted_cycle[self._rid])
-
-    @admitted_cycle.setter
-    def admitted_cycle(self, value: int) -> None:
-        self._pool.admitted_cycle[self._rid] = value
-
-    # -- derived properties ----------------------------------------------------------------
-
-    @property
-    def remaining(self) -> int:
-        """Tokens still to generate."""
-        return max(self.output_len - self.generated, 0)
-
-    @property
-    def done(self) -> bool:
-        """Whether the request has generated all its tokens."""
-        return bool(self._pool.done[self._rid])
-
-    @property
-    def started(self) -> bool:
-        """Whether encoding has started."""
-        return self.encode_start_s >= 0.0
-
-    @property
-    def latency_s(self) -> float:
-        """End-to-end latency (encode start to last token), -1 if unfinished."""
-        if self.finish_s < 0 or self.encode_start_s < 0:
-            return -1.0
-        return self.finish_s - self.encode_start_s
-
-    def advance(self, tokens: int = 1) -> None:
-        """Record ``tokens`` newly generated tokens for this request."""
-        self._pool.advance(np.array([self._rid], dtype=np.int64), tokens)
-
-    def context_length(self, decoder_only: bool) -> int:
-        """Current attention context length for the next decode step."""
-        if decoder_only:
-            return self.input_len + self.generated
-        return max(self.generated, 1)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RequestView(rid={self._rid}, request_id={self.request_id}, "
-            f"generated={self.generated}/{self.output_len})"
-        )
-
-
 class RequestPool:
     """Columnar store of request lifecycle state.
 
@@ -273,10 +143,6 @@ class RequestPool:
         Static per-request properties loaded at admission.
     ``generated``
         Tokens generated so far (int64).
-    ``encode_start_s``, ``encode_finish_s``, ``finish_s``
-        Timestamps (-1 until stamped by the engine's bookkeeping).
-    ``admitted_cycle``
-        Scheduling cycle of admission (-1 until admitted).
     ``done``
         Boolean mask, ``generated >= output_len``; maintained by
         :meth:`advance` so compaction and counts never recompute it.
@@ -288,10 +154,6 @@ class RequestPool:
         self.output_len = EMPTY_IDS
         self.arrival_s = np.empty(0, dtype=float)
         self.generated = EMPTY_IDS
-        self.encode_start_s = np.empty(0, dtype=float)
-        self.encode_finish_s = np.empty(0, dtype=float)
-        self.finish_s = np.empty(0, dtype=float)
-        self.admitted_cycle = EMPTY_IDS
         self.done = np.empty(0, dtype=bool)
         self._done_count = 0
         self._generated_total = 0
@@ -351,10 +213,6 @@ class RequestPool:
         pool.output_len = output_len.copy()
         pool.arrival_s = arrival_s.copy()
         pool.generated = np.zeros(n, dtype=np.int64)
-        pool.encode_start_s = np.full(n, -1.0)
-        pool.encode_finish_s = np.full(n, -1.0)
-        pool.finish_s = np.full(n, -1.0)
-        pool.admitted_cycle = np.full(n, -1, dtype=np.int64)
         pool.done = np.zeros(n, dtype=bool)
         return pool
 
@@ -379,16 +237,6 @@ class RequestPool:
         )
         self.generated = np.concatenate(
             [self.generated, np.zeros(n, dtype=np.int64)]
-        )
-        self.encode_start_s = np.concatenate(
-            [self.encode_start_s, np.full(n, -1.0)]
-        )
-        self.encode_finish_s = np.concatenate(
-            [self.encode_finish_s, np.full(n, -1.0)]
-        )
-        self.finish_s = np.concatenate([self.finish_s, np.full(n, -1.0)])
-        self.admitted_cycle = np.concatenate(
-            [self.admitted_cycle, np.full(n, -1, dtype=np.int64)]
         )
         self.done = np.concatenate([self.done, np.zeros(n, dtype=bool)])
         return np.arange(start, start + n, dtype=np.int64)
@@ -639,34 +487,24 @@ class RequestPool:
     def reset_progress(self) -> None:
         """Reset every request to the just-admitted state.
 
-        Clears generation progress, timestamps and admission cycles while
-        keeping the static columns (lengths, arrivals, trace ids) intact.
+        Clears generation progress while keeping the static columns
+        (lengths, arrivals, trace ids) intact.
         Serving entry points call this so one pool can be served repeatedly
         -- e.g. the same million-request pool through several fleets or
         cores -- without a stale ``done`` mask silently emptying the run.
         """
         self.generated[:] = 0
-        self.encode_start_s[:] = -1.0
-        self.encode_finish_s[:] = -1.0
-        self.finish_s[:] = -1.0
-        self.admitted_cycle[:] = -1
         self.done[:] = False
         self._done_count = 0
         self._generated_total = 0
-
-    def set_admitted_cycle(self, ids: np.ndarray, cycle: int) -> None:
-        """Record the admission cycle of a batch."""
-        if ids.size:
-            self.admitted_cycle[ids] = cycle
 
     def requeue(self, ids: np.ndarray) -> None:
         """Rewind a batch of *unfinished* requests to the just-admitted state.
 
         The fault-injection primitive: when a replica crashes (or a decode
         is preempted back to the queue), its queued and in-flight ids are
-        reclaimed through the shared pool -- generation progress, pool
-        timestamps and admission cycles reset in one vectorized column
-        pass -- and re-routed as if freshly arrived.  Ids keep their
+        reclaimed through the shared pool -- generation progress resets in
+        one vectorized column pass -- and re-routed as if freshly arrived.  Ids keep their
         identity (rows never move), so bookkeeping and routing state
         referencing them stay valid.
 
@@ -685,22 +523,6 @@ class RequestPool:
             )
         self._generated_total -= int(self.generated[ids].sum())
         self.generated[ids] = 0
-        self.encode_start_s[ids] = -1.0
-        self.encode_finish_s[ids] = -1.0
-        self.finish_s[ids] = -1.0
-        self.admitted_cycle[ids] = -1
-
-    def stamp_encode_start(self, ids: np.ndarray, when) -> None:
-        """Stamp encode-start timestamps of a batch (one time, or one per
-        id; a repeated id keeps its last time)."""
-        if ids.size:
-            scatter_last(self.encode_start_s, ids, when)
-
-    def stamp_finish(self, ids: np.ndarray, when) -> None:
-        """Stamp completion timestamps of a batch (one time, or one per
-        id; a repeated id keeps its last time)."""
-        if ids.size:
-            scatter_last(self.finish_s, ids, when)
 
     # -- grouped reductions --------------------------------------------------------------
 
@@ -782,6 +604,10 @@ class RequestPool:
         """Input lengths of an id batch (one gather)."""
         return self.input_len[ids]
 
+    def output_lens(self, ids: np.ndarray) -> np.ndarray:
+        """Output lengths of an id batch (one gather)."""
+        return self.output_len[ids]
+
     def request_ids_of(self, ids: np.ndarray) -> np.ndarray:
         """Trace ids of an id batch (one gather)."""
         return self.request_id[ids]
@@ -803,44 +629,3 @@ class RequestPool:
     def arrival_of(self, rid: int) -> float:
         """Arrival time of one request."""
         return float(self.arrival_s[rid])
-
-    def view(self, rid: int) -> RequestView:
-        """Thin per-request :class:`RequestView` of one request."""
-        return RequestView(self, rid)
-
-    def views(self) -> list[RequestView]:
-        """Views of every request, in admission order."""
-        return [RequestView(self, rid) for rid in range(self.size)]
-
-    # -- collection ---------------------------------------------------------------------
-
-    def completion_arrays(
-        self, ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """``(latencies, completion_times, output_lens, tokens)`` of ``ids``.
-
-        One vectorized pass over the batch; used by
-        :func:`~repro.engine.metrics.collect_pool_result`.
-
-        Raises:
-            ValueError: if any request is unfinished or missing timestamps.
-        """
-        finish = self.finish_s[ids]
-        start = self.encode_start_s[ids]
-        bad = ~self.done[ids] | (finish < 0)
-        if np.any(bad):
-            culprit = int(self.request_id[ids[bad][0]])
-            raise ValueError(
-                f"request {culprit} did not complete; cannot collect metrics"
-            )
-        latencies = finish - start
-        invalid = (start < 0) | np.isnan(latencies)
-        if np.any(invalid):
-            culprit = int(self.request_id[ids[invalid][0]])
-            raise ValueError(f"request {culprit} has invalid latency")
-        return (
-            latencies,
-            finish,
-            self.output_len[ids],
-            int(self.generated[ids].sum()),
-        )

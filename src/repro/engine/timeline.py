@@ -510,6 +510,18 @@ class Timeline:
         self.schedule_pending()
         return self._start[: self._n][task_ids]
 
+    def durations(self, tag: str) -> np.ndarray:
+        """Durations of the tasks tagged ``tag``, in task order (a copy).
+
+        Durations are as stored, after ``time_scale``.  Table 7 reads the
+        ``"encode"`` and ``"decode"`` stage times this way.
+        """
+        code = self._tag_codes.get(tag)
+        if code is None:
+            return np.empty(0)
+        n = self._n
+        return self._duration[:n][self._tag[:n] == code]
+
     def stage_free_at(self, stage: object, default: float = 0.0) -> float:
         """Time at which a stage finishes its last scheduled task.
 

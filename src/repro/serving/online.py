@@ -1625,7 +1625,6 @@ class ExeGPTOnlineServer(OnlineServer):
         # last committed plan; WAA chains each cycle's decode iteration
         # onto it).
         self._prev_iter_last: dict[int, object] = {}
-        self._cycles = 0
         # WAA: batches encoded but not yet merged into the decode pool.
         self._handover = KVHandover()
         self._engine = ExecutionEngine(
@@ -1638,7 +1637,7 @@ class ExeGPTOnlineServer(OnlineServer):
 
     def _crash(self) -> None:
         # Decode pool, handover stash and the adjuster's admission memory
-        # die with the replica; the cycle counter and timeline survive.
+        # die with the replica; the timeline survives.
         self._active = EMPTY_IDS
         self._adjuster = DynamicWorkloadAdjuster.for_schedule(
             self.simulator, self.config, self.dynamic_adjustment
@@ -1658,7 +1657,6 @@ class ExeGPTOnlineServer(OnlineServer):
         )
         admitted = head[:count]
         self._queue.pop_many(count)
-        self._pool.set_admitted_cycle(admitted, self._cycles)
         return admitted
 
     def _iterate(self, clock: float) -> float:
@@ -1677,7 +1675,6 @@ class ExeGPTOnlineServer(OnlineServer):
             self._admit_from_queue(),
             release_s=clock,
         )
-        self._cycles += 1
         # The next cycle's encode can begin once the first stage drains.
         return self._timeline.stage_free_at(stages[0].stage_id, default=clock)
 
@@ -1697,7 +1694,6 @@ class ExeGPTOnlineServer(OnlineServer):
             release_s=clock,
         )
         engine.commit(plan)
-        self._cycles += 1
         # Advance to the next time an admission decision can change: the
         # encoder freeing up or the decode iteration just built finishing.
         # Only strictly-future times count -- a stale encoder free-time from

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.core.config import ScheduleConfig, SchedulePolicy, TensorParallelConfig
+from repro.core.dynamic import DynamicWorkloadAdjuster
 from repro.core.runner import XRunner
+from repro.engine.execution import max_replay_cycles
 from repro.workloads.synthetic import generate_trace_from_distributions
+from repro.workloads.trace import RequestSpec, WorkloadTrace
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +92,56 @@ class TestWAARunner:
         config = ScheduleConfig(SchedulePolicy.WAA_C, encode_batch=2, micro_batches=1)
         result = _run(tiny_encdec_simulator, config, tiny_trace)
         assert result.num_requests == len(tiny_trace)
+
+
+class TestConvergenceGuard:
+    """A replay stops at requests + output tokens cycles
+    (``max_replay_cycles``): every cycle that makes progress admits a
+    request or generates a token, so a longer loop has stalled."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ScheduleConfig(SchedulePolicy.RRA, encode_batch=8, decode_iterations=8),
+            ScheduleConfig(SchedulePolicy.WAA_C, encode_batch=2, micro_batches=2),
+        ],
+        ids=["rra", "waa"],
+    )
+    def test_a_stalled_replay_stops_at_the_trace_bound(
+        self, tiny_simulator, tiny_trace, config, monkeypatch
+    ):
+        calls = []
+
+        def admit_nothing(self, input_lens, pool_size, freed_slots):
+            calls.append(pool_size)
+            return 0
+
+        monkeypatch.setattr(DynamicWorkloadAdjuster, "admit_count", admit_nothing)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _run(tiny_simulator, config, tiny_trace)
+        assert len(calls) <= max_replay_cycles(tiny_trace) + 1
+
+    @pytest.mark.slow
+    def test_a_long_replay_is_not_cut_short(self, tiny_simulator):
+        # One request of 100,500 tokens at N_D 1 takes 100,501 RRA cycles,
+        # past the fixed 100,000-cycle cap this guard replaced (about 9 s
+        # on a 2-vCPU host).
+        trace = WorkloadTrace(
+            "long",
+            (RequestSpec(0, 16, 100_500, 0.0),),
+            tiny_simulator.input_distribution,
+            tiny_simulator.output_distribution,
+        )
+        config = ScheduleConfig(
+            SchedulePolicy.RRA,
+            encode_batch=1,
+            decode_iterations=1,
+            tensor_parallel=TensorParallelConfig(degree=4, num_gpus=4),
+        )
+        result = _run(tiny_simulator, config, trace)
+        assert result.total_generated_tokens == 100_500
+        # One decode task per cycle on the one stage, plus the encode.
+        assert result.extra["num_tasks"] == 100_502
 
 
 class TestSimulatorRunnerAgreement:

@@ -502,7 +502,7 @@ class TestMixedTemplateParity:
             tuple(column.tolist() for column in _event_columns(entries))
             for entries in (book.encode_starts, book.first_tokens, book.completions)
         ]
-        return tasks, engine.stage_times, events
+        return tasks, events
 
     @pytest.mark.parametrize(
         "deployment", ["baseline", "rra", "encoder-decoder"]

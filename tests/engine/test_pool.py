@@ -14,7 +14,8 @@ every step:
   across compaction (a surviving id keeps denoting the same request), and
   completed ids never resurrect,
 * alive/done counts agree (the columnar ones are O(1) counters),
-* timestamp stamping and final metric collection agree.
+* the columns a run's result collection reads (done flags, output
+  lengths, trace ids) agree.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference.pool import ListPool
-from repro.engine.pool import EMPTY_IDS, RequestPool, RequestView
+from repro.engine.pool import EMPTY_IDS, RequestPool
 from repro.workloads.trace import RequestSpec
 
 REQUESTS = st.lists(
@@ -127,7 +128,7 @@ class TestRandomScheduleParity:
 
     @given(lens=REQUESTS, seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_stamping_and_collection_match_reference(self, lens, seed):
+    def test_collection_columns_match_reference(self, lens, seed):
         columnar, reference = _both(lens)
         rng = np.random.default_rng(seed)
         ids = columnar.ids()
@@ -139,20 +140,15 @@ class TestRandomScheduleParity:
             columnar.advance(batch)
             reference.advance(batch)
             active = columnar.compact(active)
-        starts = rng.random(ids.size)
-        finishes = starts + 1.0 + rng.random(ids.size)
-        for rid, start, finish in zip(ids.tolist(), starts, finishes):
-            one = np.array([rid], dtype=np.int64)
-            columnar.stamp_encode_start(one, float(start))
-            columnar.stamp_finish(one, float(finish))
-            reference.stamp_encode_start(one, float(start))
-            reference.stamp_finish(one, float(finish))
-        col = columnar.completion_arrays(ids)
-        ref = reference.completion_arrays(ids)
-        assert np.array_equal(col[0], ref[0])  # latencies
-        assert np.array_equal(col[1], ref[1])  # completion times
-        assert np.array_equal(col[2], ref[2])  # output lengths
-        assert col[3] == ref[3]  # generated tokens
+        shuffled = rng.permutation(ids)
+        assert columnar.done_mask(shuffled).all() and reference.done_mask(shuffled).all()
+        assert np.array_equal(
+            columnar.output_lens(shuffled), reference.output_lens(shuffled)
+        )
+        assert np.array_equal(
+            columnar.request_ids_of(shuffled), reference.request_ids_of(shuffled)
+        )
+        assert columnar.generated_total == int(columnar.output_lens(ids).sum())
 
 
 class TestMultiOwnerSlices:
@@ -366,8 +362,6 @@ class TestRequeue:
             mask = rng.random(active.size) < 0.7
             batch = columnar.compact(active[mask])
             if batch.size:
-                columnar.stamp_encode_start(batch, 1.0)
-                reference.stamp_encode_start(batch, 1.0)
                 columnar.advance(batch)
                 reference.advance(batch)
             # A random crash reclaims a subset of the still-alive ids.
@@ -387,12 +381,6 @@ class TestRequeue:
         assert np.array_equal(
             columnar.done, np.asarray([s.done for s in reference.states])
         )
-        assert np.array_equal(columnar.encode_start_s, np.asarray(
-            [s.encode_start_s for s in reference.states]
-        ))
-        assert np.array_equal(columnar.finish_s, np.asarray(
-            [s.finish_s for s in reference.states]
-        ))
 
     @pytest.mark.parametrize("columnar", [True, False])
     def test_requeue_done_id_raises_and_mutates_nothing(self, columnar):
@@ -434,12 +422,6 @@ class TestAdvanceGuards:
         ids = pool.admit_specs([RequestSpec(0, 4, 2, 0.0)])
         with pytest.raises(ValueError):
             pool.advance(ids, -1)
-
-    def test_unfinished_request_blocks_collection(self):
-        pool = RequestPool()
-        ids = pool.admit_specs([RequestSpec(7, 4, 2, 0.0)])
-        with pytest.raises(ValueError, match="did not complete"):
-            pool.completion_arrays(ids)
 
 
 class TestCountsAndIds:
@@ -545,49 +527,6 @@ class TestCountsAndIds:
         assert pool.max_output_len(EMPTY_IDS) == 0
 
 
-class TestRequestView:
-    def test_view_reads_and_writes_columns(self):
-        pool = RequestPool()
-        (rid,) = pool.admit_specs([RequestSpec(11, 6, 3, 0.25)]).tolist()
-        view = pool.view(rid)
-        assert isinstance(view, RequestView)
-        assert view.request_id == 11
-        assert view.input_len == 6
-        assert view.output_len == 3
-        assert view.arrival_s == 0.25
-        assert view.remaining == 3
-        assert not view.done
-        assert not view.started
-        assert view.latency_s == -1.0
-        assert view.context_length(decoder_only=True) == 6
-        assert view.context_length(decoder_only=False) == 1
-
-        view.advance(2)
-        assert pool.generated[rid] == 2
-        assert view.remaining == 1
-        assert view.context_length(decoder_only=True) == 8
-
-        view.encode_start_s = 1.0
-        view.admitted_cycle = 4
-        view.advance()
-        view.finish_s = 3.5
-        assert view.done
-        assert pool.done[rid]
-        assert pool.admitted_cycle[rid] == 4
-        assert view.latency_s == pytest.approx(2.5)
-        # The columns saw every write.
-        latencies, _, _, tokens = pool.completion_arrays(
-            np.array([rid], dtype=np.int64)
-        )
-        assert latencies[0] == pytest.approx(2.5)
-        assert tokens == 3
-
-    def test_list_pool_view_is_the_state(self):
-        pool = ListPool()
-        (rid,) = pool.admit_specs([RequestSpec(0, 4, 2, 0.0)]).tolist()
-        assert pool.view(rid) is pool.states[rid]
-
-
 class TestEventCoreReductionsParity:
     """ListPool parity for the reductions the event serving core added."""
 
@@ -644,8 +583,7 @@ class TestEventCoreReductionsParity:
         from_specs.admit_specs(specs)
         for column in (
             "request_id", "input_len", "output_len", "arrival_s",
-            "generated", "encode_start_s", "encode_finish_s", "finish_s",
-            "admitted_cycle", "done",
+            "generated", "done",
         ):
             np.testing.assert_array_equal(
                 getattr(from_arrays, column), getattr(from_specs, column)
@@ -712,14 +650,11 @@ class TestEventCoreReductionsParity:
         for backend in (RequestPool, ListPool):
             pool = backend()
             ids = pool.admit_specs(specs)
-            # Consume the pool partway: stamp, advance some to completion.
-            pool.set_admitted_cycle(ids, 3)
-            pool.stamp_encode_start(ids, 1.0)
+            # Consume the pool partway: advance some to completion.
             subset = ids[rng.random(ids.size) < 0.7]
             for rid in subset.tolist():
                 one = np.array([rid], dtype=np.int64)
                 pool.advance(one, pool.output_len_of(rid))
-                pool.stamp_finish(one, 2.0)
             pool.reset_progress()
             pools.append(pool)
 
@@ -732,12 +667,9 @@ class TestEventCoreReductionsParity:
         )
         np.testing.assert_array_equal(columnar.compact(ids), ids)
         assert columnar.remaining_tokens(ids) == reference.remaining_tokens(ids)
+        assert not columnar.generated.any() and columnar.generated_total == 0
+        assert all(state.generated == 0 for state in reference.states)
         for rid in ids.tolist():
-            assert columnar.view(rid).generated == 0
-            assert reference.view(rid).generated == 0
-            assert columnar.view(rid).encode_start_s == -1.0
-            assert columnar.view(rid).finish_s == -1.0
-            assert columnar.view(rid).admitted_cycle == -1
             assert columnar.input_len_of(rid) == reference.input_len_of(rid)
 
 

@@ -15,8 +15,6 @@ class TestRequestState:
         state = _state()
         assert state.remaining == 4
         assert not state.done
-        assert not state.started
-        assert state.latency_s == -1.0
 
     def test_advance_to_completion(self):
         state = _state(output_len=3)
@@ -34,13 +32,6 @@ class TestRequestState:
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError):
             _state().advance(-1)
-
-    def test_latency_from_timestamps(self):
-        state = _state(output_len=1)
-        state.encode_start_s = 1.0
-        state.advance()
-        state.finish_s = 3.5
-        assert state.latency_s == pytest.approx(2.5)
 
     def test_context_length_decoder_only(self):
         state = _state(input_len=10, output_len=5)

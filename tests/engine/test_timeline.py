@@ -87,6 +87,25 @@ class TestPipelineBehaviour:
         busy = tl.stage_busy_time()
         assert busy["s0"] == pytest.approx(1.0)
 
+    def test_durations_of_a_tag_in_task_order(self):
+        tl = Timeline(time_scale=2.0)
+        tl.add_task("s0", 1.0, tag="encode")
+        tl.add_task("s1", 0.5, tag="decode")
+        tl.add_task("s0", 3.0, tag="encode")
+        # Bulk rows: a decode, a compaction, a decode.
+        tl.add_tasks(
+            [0] * 9, [0.25] * 8 + [0.75], [-1] * 9,
+            [tl.tag_code("decode"), tl.tag_code("compaction")] * 4
+            + [tl.tag_code("decode")],
+        )
+        assert tl.durations("encode").tolist() == [2.0, 6.0]
+        assert tl.durations("decode").tolist() == [1.0] + [0.5] * 4 + [1.5]
+        assert tl.durations("compaction").tolist() == [0.5] * 4
+        assert tl.durations("kv-transfer").size == 0
+        # A copy: the timeline's column is untouched.
+        tl.durations("encode")[:] = 0.0
+        assert tl.durations("encode").tolist() == [2.0, 6.0]
+
 
 class TestReleaseTimes:
     def test_earliest_start_delays_task(self):

@@ -89,6 +89,13 @@ class TestMeasuredExperiments:
         assert [dataclasses.asdict(r) for r in figure6] == golden["figure6"]
         assert [dataclasses.asdict(r) for r in figure7] == golden["figure7"]
 
+    def test_table7_rows_match_golden(self):
+        # Pinned before the stage times moved from a copy kept by the
+        # execution engine onto the timeline's phase-tagged tasks.
+        golden = json.loads((GOLDEN_DIR / "table7_rows.json").read_text())
+        rows = ex.run_table7(num_requests=256)
+        assert [dataclasses.asdict(r) for r in rows] == golden
+
     def test_figure9_subset_reports_both_systems(self):
         rows = ex.run_figure9(models=("OPT-13B",), tasks=("T",))
         systems = {r.system for r in rows}

@@ -23,27 +23,17 @@ from repro.workloads.trace import RequestSpec, WorkloadTrace
 
 @dataclass
 class RequestState:
-    """Mutable execution state of one request: the per-object model.
+    """Mutable generation state of one request: the per-object model.
 
-    :class:`ListPool` is a list of these; the production pool's
-    :meth:`~repro.engine.pool.RequestPool.view` returns an
-    attribute-compatible :class:`~repro.engine.pool.RequestView`.
+    :class:`ListPool` is a list of these.
 
     Attributes:
         spec: The underlying trace request (input/output lengths).
         generated: Tokens generated so far.
-        encode_start_s / encode_finish_s: When encoding started / finished.
-        finish_s: When the last token was generated (completion time).
-        admitted_cycle: Scheduling cycle or iteration at which the request
-            was admitted (for diagnostics).
     """
 
     spec: RequestSpec
     generated: int = 0
-    encode_start_s: float = -1.0
-    encode_finish_s: float = -1.0
-    finish_s: float = -1.0
-    admitted_cycle: int = -1
 
     @property
     def request_id(self) -> int:
@@ -69,18 +59,6 @@ class RequestState:
     def done(self) -> bool:
         """Whether the request has generated all its tokens."""
         return self.generated >= self.spec.output_len
-
-    @property
-    def started(self) -> bool:
-        """Whether encoding has started."""
-        return self.encode_start_s >= 0.0
-
-    @property
-    def latency_s(self) -> float:
-        """End-to-end latency (encode start to last token), -1 if unfinished."""
-        if self.finish_s < 0 or self.encode_start_s < 0:
-            return -1.0
-        return self.finish_s - self.encode_start_s
 
     def advance(self, tokens: int = 1) -> None:
         """Record ``tokens`` newly generated tokens.
@@ -109,7 +87,7 @@ class ListPool:
     Implements the exact :class:`~repro.engine.pool.RequestPool` interface
     over :class:`RequestState` dataclasses using the
     historical per-object idioms -- ``done`` list comprehensions, Python
-    ``sum`` loops, attribute stamping -- that the columnar pool replaces.
+    ``sum`` loops -- that the columnar pool replaces.
     """
 
     def __init__(self) -> None:
@@ -325,14 +303,6 @@ class ListPool:
     def reset_progress(self) -> None:
         for state in self.states:
             state.generated = 0
-            state.encode_start_s = -1.0
-            state.encode_finish_s = -1.0
-            state.finish_s = -1.0
-            state.admitted_cycle = -1
-
-    def set_admitted_cycle(self, ids: np.ndarray, cycle: int) -> None:
-        for rid in ids.tolist():
-            self.states[rid].admitted_cycle = cycle
 
     def requeue(self, ids: np.ndarray) -> None:
         # Two passes, like the columnar path: validate every id first so a
@@ -344,22 +314,7 @@ class ListPool:
                     "completed; cannot requeue"
                 )
         for rid in ids.tolist():
-            state = self.states[rid]
-            state.generated = 0
-            state.encode_start_s = -1.0
-            state.encode_finish_s = -1.0
-            state.finish_s = -1.0
-            state.admitted_cycle = -1
-
-    def stamp_encode_start(self, ids: np.ndarray, when) -> None:
-        times = np.broadcast_to(when, ids.shape).tolist()
-        for rid, t in zip(ids.tolist(), times):
-            self.states[rid].encode_start_s = t
-
-    def stamp_finish(self, ids: np.ndarray, when) -> None:
-        times = np.broadcast_to(when, ids.shape).tolist()
-        for rid, t in zip(ids.tolist(), times):
-            self.states[rid].finish_s = t
+            self.states[rid].generated = 0
 
     # -- grouped reductions --------------------------------------------------------------
 
@@ -417,6 +372,11 @@ class ListPool:
             [self.states[rid].input_len for rid in ids.tolist()], dtype=np.int64
         )
 
+    def output_lens(self, ids: np.ndarray) -> np.ndarray:
+        return np.array(
+            [self.states[rid].output_len for rid in ids.tolist()], dtype=np.int64
+        )
+
     def request_ids_of(self, ids: np.ndarray) -> np.ndarray:
         return np.array(
             [self.states[rid].request_id for rid in ids.tolist()], dtype=np.int64
@@ -435,42 +395,3 @@ class ListPool:
 
     def arrival_of(self, rid: int) -> float:
         return self.states[rid].spec.arrival_s
-
-    def view(self, rid: int) -> RequestState:
-        """The backing state itself is already a per-request view."""
-        return self.states[rid]
-
-    def views(self) -> list[RequestState]:
-        return list(self.states)
-
-    # -- collection ---------------------------------------------------------------------
-
-    def completion_arrays(
-        self, ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        latencies: list[float] = []
-        completions: list[float] = []
-        lengths: list[int] = []
-        tokens = 0
-        for rid in ids.tolist():
-            state = self.states[rid]
-            if not state.done or state.finish_s < 0:
-                raise ValueError(
-                    f"request {state.request_id} did not complete; "
-                    "cannot collect metrics"
-                )
-            latency = state.latency_s
-            if latency < 0 or np.isnan(latency):
-                raise ValueError(
-                    f"request {state.request_id} has invalid latency"
-                )
-            latencies.append(latency)
-            completions.append(state.finish_s)
-            lengths.append(state.output_len)
-            tokens += state.generated
-        return (
-            np.array(latencies, dtype=float),
-            np.array(completions, dtype=float),
-            np.array(lengths, dtype=np.int64),
-            tokens,
-        )

@@ -189,6 +189,4 @@ class PlanLoopExeGPTServer(ExeGPTOnlineServer):
                     break
         engine.commit(plan)
         self._active = self._pool.compact(self._active)
-
-        self._cycles += 1
         return self._timeline.stage_free_at(stages[0].stage_id, default=clock)

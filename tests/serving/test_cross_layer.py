@@ -97,7 +97,10 @@ def test_continuous_batching_online_matches_offline_orca(
     online = server.serve(trace)
 
     assert online.completed == len(trace)
-    # The engine records per-iteration stage durations identically on both
-    # sides (same bucketing, same order, same values).
-    assert tuple(server._engine.stage_times["decode"]) == offline.stage_times["decode"]
-    assert tuple(server._engine.stage_times["encode"]) == offline.stage_times["encode"]
+    # Both timelines tag the iterations' stage tasks by phase identically
+    # (same tags, same order, same durations).
+    for phase in ("encode", "decode"):
+        assert (
+            server._timeline.durations(phase).tolist()
+            == offline.stage_times[phase].tolist()
+        )
